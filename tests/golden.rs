@@ -9,6 +9,12 @@
 //! profilers, graph generators or report formatting that moves a single
 //! digit fails here.
 //!
+//! The same lock covers the serving layer's sim-clock numbers: five
+//! `gsuite-cli loadgen --metrics --json` reports over the `serve-mix`
+//! stream (closed loop, open loop with shedding, warm templates, chaos,
+//! open loop with batching) are snapshotted as `loadgen-*.json`. The
+//! discrete-event model has no run-to-run noise, so the check is exact.
+//!
 //! Regenerating after an *intentional* change:
 //!
 //! ```text
@@ -20,6 +26,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use gsuite::scenarios::{registry, BenchOpts};
+use gsuite::serve::fault::{BreakerConfig, FaultPlan, ResilienceConfig, RetryPolicy};
+use gsuite::serve::sim::BatchPolicy;
+use gsuite::serve::{run_loadgen_traced, ArrivalMode, LoadSpec};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -35,12 +44,17 @@ fn check_scenario(name: &str) {
     let scenario = registry::find(name).unwrap_or_else(|| panic!("{name} not in registry"));
     let opts = BenchOpts::golden();
     let (_result, report) = scenario.run(&opts);
-    let rendered = report.render(&opts);
-    let path = golden_dir().join(format!("{name}.txt"));
+    check_golden(&format!("{name}.txt"), &report.render(&opts));
+}
+
+/// Checks `rendered` against the snapshot `tests/golden/<file>` (or
+/// regenerates it under `UPDATE_GOLDEN=1`).
+fn check_golden(file: &str, rendered: &str) {
+    let path = golden_dir().join(file);
 
     if update_mode() {
         fs::create_dir_all(golden_dir()).expect("create tests/golden");
-        fs::write(&path, &rendered).expect("write golden file");
+        fs::write(&path, rendered).expect("write golden file");
         eprintln!("updated {}", path.display());
         return;
     }
@@ -70,7 +84,7 @@ fn check_scenario(name: &str) {
             ),
         };
         panic!(
-            "golden mismatch for scenario {name} ({}).\n{context}\n\
+            "golden mismatch for {file} ({}).\n{context}\n\
              If the change is intentional, regenerate with:\n  \
              UPDATE_GOLDEN=1 cargo test --test golden\nand review the diff.",
             path.display()
@@ -144,4 +158,84 @@ golden_test!(
 #[test]
 fn golden_serve_mix() {
     check_scenario("serve-mix");
+}
+
+/// The `serve-mix` stream every loadgen golden replays: seed 42, 256
+/// requests, quick scales, sim clock.
+fn loadgen_spec(arrival: ArrivalMode) -> LoadSpec {
+    LoadSpec {
+        requests: 256,
+        arrival,
+        ..LoadSpec::default()
+    }
+}
+
+fn closed_spec() -> LoadSpec {
+    loadgen_spec(ArrivalMode::Closed { clients: 8 })
+}
+
+fn open_spec() -> LoadSpec {
+    LoadSpec {
+        workers: 2,
+        queue_cap: 8,
+        slo_ms: Some(250.0),
+        ..loadgen_spec(ArrivalMode::Open { rate_rps: 200.0 })
+    }
+}
+
+/// Runs one sim-clock loadgen traced, as `gsuite-cli loadgen --metrics`
+/// does (the traced path fills the report's `phases` block), and checks
+/// its `--json` report against `tests/golden/loadgen-<name>.json`.
+fn check_loadgen(name: &str, spec: &LoadSpec) {
+    let (report, _trace) = run_loadgen_traced(spec).expect("loadgen run");
+    check_golden(&format!("loadgen-{name}.json"), &report.to_json());
+}
+
+#[test]
+fn golden_loadgen_closed() {
+    check_loadgen("closed", &closed_spec());
+}
+
+#[test]
+fn golden_loadgen_open() {
+    check_loadgen("open", &open_spec());
+}
+
+/// A 4 MiB cache keeps evicting pipelines, so rebuilds take the
+/// plan-template instantiate path.
+#[test]
+fn golden_loadgen_warm() {
+    let spec = LoadSpec {
+        cache_bytes: 4 << 20,
+        ..closed_spec()
+    };
+    check_loadgen("warm", &spec);
+}
+
+#[test]
+fn golden_loadgen_chaos() {
+    let spec = LoadSpec {
+        fault: Some(FaultPlan::mixed(7, 0.25)),
+        resilience: ResilienceConfig {
+            deadline_ms: Some(900.0),
+            retry: RetryPolicy::retries(2),
+            breaker: Some(BreakerConfig::default()),
+            ..ResilienceConfig::default()
+        },
+        ..closed_spec()
+    };
+    check_loadgen("chaos", &spec);
+}
+
+#[test]
+fn golden_loadgen_open_batched() {
+    let spec = LoadSpec {
+        batch: Some(BatchPolicy {
+            max_batch: 8,
+            max_queue_delay_ms: 5.0,
+            ..BatchPolicy::default()
+        }),
+        ..open_spec()
+    };
+    check_loadgen("open-batched", &spec);
 }
