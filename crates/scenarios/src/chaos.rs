@@ -21,13 +21,11 @@ use gsuite_core::config::GnnModel;
 use gsuite_graph::datasets::Dataset;
 use gsuite_profile::TextTable;
 
-use rand::{rngs::SmallRng, Rng, SeedableRng};
-
 use crate::opts::{ms, pct, BenchOpts};
 use crate::report::Report;
 use crate::resilience::{BreakerConfig, FaultPlan, ResilienceConfig, RetryPolicy};
 use crate::runner::{CellOutcome, ScenarioResult};
-use crate::sim::{build_cost_ms, simulate_open, SimCosts, SimDisposition, SimOutcome, SimParams};
+use crate::sim::{build_cost_ms, jittered_stream, simulate, tally, Arrivals, SimCosts, SimParams};
 use crate::spec::ScenarioSpec;
 
 /// Seed of the synthetic request stream (key choices and arrival jitter).
@@ -147,65 +145,6 @@ fn chaos_costs(result: &ScenarioResult) -> Vec<SimCosts> {
         .collect()
 }
 
-/// The per-row tallies extracted from one simulated run.
-struct Tally {
-    ok: usize,
-    err: usize,
-    shed: usize,
-    timeouts: usize,
-    goodput_rps: f64,
-    p99_ms: f64,
-    slo: f64,
-    availability: f64,
-}
-
-fn tally(out: &SimOutcome, slo_ms: f64) -> Tally {
-    let total = out.records.len().max(1);
-    let mut ok = 0usize;
-    let mut err = 0usize;
-    let mut shed = 0usize;
-    let mut timeouts = 0usize;
-    let mut within_slo = 0usize;
-    let mut ok_latencies: Vec<f64> = Vec::new();
-    for r in &out.records {
-        match r.disposition {
-            SimDisposition::Done(_) => {
-                ok += 1;
-                ok_latencies.push(r.latency_ms);
-                if r.latency_ms <= slo_ms {
-                    within_slo += 1;
-                }
-            }
-            SimDisposition::Error | SimDisposition::Crashed => err += 1,
-            SimDisposition::Rejected | SimDisposition::CircuitOpen | SimDisposition::BatchShed => {
-                shed += 1
-            }
-            SimDisposition::TimedOut => timeouts += 1,
-        }
-    }
-    ok_latencies.sort_by(|a, b| a.total_cmp(b));
-    let p99_ms = if ok_latencies.is_empty() {
-        0.0
-    } else {
-        let rank = ((ok_latencies.len() - 1) as f64 * 0.99).ceil() as usize;
-        ok_latencies[rank]
-    };
-    Tally {
-        ok,
-        err,
-        shed,
-        timeouts,
-        goodput_rps: if out.makespan_ms > 0.0 {
-            ok as f64 / out.makespan_ms * 1000.0
-        } else {
-            0.0
-        },
-        p99_ms,
-        slo: within_slo as f64 / total as f64,
-        availability: ok as f64 / total as f64,
-    }
-}
-
 pub(crate) fn render_chaos(result: &ScenarioResult, _opts: &BenchOpts) -> Report {
     let mut report = Report::new();
     report.header(
@@ -228,15 +167,7 @@ pub(crate) fn render_chaos(result: &ScenarioResult, _opts: &BenchOpts) -> Report
     let stale_ttl_ms = 16.0 * mean_service;
     let cache_bytes: u64 = costs.iter().map(|c| c.bytes).sum::<u64>() + 1;
 
-    let mut rng = SmallRng::seed_from_u64(STREAM_SEED);
-    let mut keys = Vec::with_capacity(REQUESTS);
-    let mut arrivals = Vec::with_capacity(REQUESTS);
-    let mut t = 0.0;
-    for _ in 0..REQUESTS {
-        keys.push(rng.gen_range(0..costs.len()));
-        t += gap_ms * (0.5 + rng.gen::<f64>());
-        arrivals.push(t);
-    }
+    let (keys, arrivals) = jittered_stream(STREAM_SEED, REQUESTS, costs.len(), gap_ms);
 
     let mut table = TextTable::new(&[
         "policy",
@@ -282,7 +213,11 @@ pub(crate) fn render_chaos(result: &ScenarioResult, _opts: &BenchOpts) -> Report
                 stale_ttl_ms: p.retry.then_some(stale_ttl_ms),
             },
         };
-        let out = simulate_open(&keys, &arrivals, &costs, params);
+        let at = Arrivals::Open {
+            at_ms: &arrivals,
+            batch: None,
+        };
+        let (out, _) = simulate(&keys, at, &costs, params, None);
         let row = tally(&out, slo_ms);
         let base = *baseline_avail.get_or_insert(row.availability);
         table.row_owned(vec![

@@ -15,7 +15,7 @@
 //! charges merged executions (`max(fixed) + Σ marginal`).
 //!
 //! The renderer replays one fixed seeded request stream through
-//! [`crate::sim::simulate_open_batched`] for every rate × policy pair
+//! [`crate::sim::simulate`] for every rate × policy pair
 //! and reports goodput, tail latency, SLO attainment and the realized
 //! batch-size distribution. The pipeline LRU is held at one byte:
 //! requests model *distinct users*, where caching one user's compiled
@@ -33,13 +33,11 @@ use gsuite_core::plan::batchmerge::merge_class;
 use gsuite_graph::datasets::Dataset;
 use gsuite_profile::TextTable;
 
-use rand::{rngs::SmallRng, Rng, SeedableRng};
-
 use crate::opts::{ms, pct, BenchOpts};
 use crate::report::Report;
 use crate::runner::ScenarioResult;
 use crate::sim::{
-    build_cost_ms, simulate_open_batched, BatchPolicy, SimBatch, SimCosts, SimDisposition,
+    build_cost_ms, jittered_stream, simulate, tally, Arrivals, BatchPolicy, SimBatch, SimCosts,
     SimOutcome, SimParams,
 };
 use crate::spec::ScenarioSpec;
@@ -76,7 +74,7 @@ pub(crate) fn spec_servebatch() -> ScenarioSpec {
 }
 
 /// One sweep policy row; `max_batch == 1` is the unbatched baseline
-/// (locked byte-identical to [`crate::sim::simulate_open`]).
+/// (locked byte-identical to the unbatched simulation).
 struct Policy {
     label: &'static str,
     policy: BatchPolicy,
@@ -177,52 +175,45 @@ fn ego_costs(result: &ScenarioResult, opts: &BenchOpts) -> Vec<SimCosts> {
         .collect()
 }
 
-/// The per-row tallies extracted from one simulated run.
-struct Tally {
-    ok: usize,
-    shed: usize,
-    goodput_rps: f64,
-    p99_ms: f64,
-    slo: f64,
+/// The capacity model of an ego-net universe.
+struct Load {
+    /// Mean per-request work: every request pays its own cold build plus
+    /// inference (distinct users, one-byte LRU).
+    mean_work_ms: f64,
+    /// Unbatched serving capacity of the worker pool.
+    capacity_rps: f64,
+    slo_ms: f64,
+    /// The batch former's head delay budget.
+    delay_ms: f64,
 }
 
-fn tally(out: &SimOutcome, slo_ms: f64) -> Tally {
-    let total = out.records.len().max(1);
-    let mut ok = 0usize;
-    let mut shed = 0usize;
-    let mut within_slo = 0usize;
-    let mut ok_latencies: Vec<f64> = Vec::new();
-    for r in &out.records {
-        match r.disposition {
-            SimDisposition::Done(_) => {
-                ok += 1;
-                ok_latencies.push(r.latency_ms);
-                if r.latency_ms <= slo_ms {
-                    within_slo += 1;
-                }
-            }
-            SimDisposition::Rejected | SimDisposition::BatchShed => shed += 1,
-            _ => {}
-        }
+fn load_model(costs: &[SimCosts]) -> Load {
+    let mean_work_ms =
+        costs.iter().map(|c| c.build_ms + c.service_ms).sum::<f64>() / costs.len() as f64;
+    Load {
+        mean_work_ms,
+        capacity_rps: WORKERS as f64 / mean_work_ms * 1000.0,
+        slo_ms: 8.0 * mean_work_ms,
+        delay_ms: 2.0 * mean_work_ms,
     }
-    ok_latencies.sort_by(|a, b| a.total_cmp(b));
-    let p99_ms = if ok_latencies.is_empty() {
-        0.0
-    } else {
-        let rank = ((ok_latencies.len() - 1) as f64 * 0.99).ceil() as usize;
-        ok_latencies[rank]
+}
+
+/// Replays the fixed seeded request stream at `rate_rps` under `policy`.
+/// Every policy row of one rate sees the same stream.
+fn replay(costs: &[SimCosts], rate_rps: f64, policy: BatchPolicy) -> SimOutcome {
+    let (keys, arrivals) = jittered_stream(STREAM_SEED, REQUESTS, costs.len(), 1000.0 / rate_rps);
+    let at = Arrivals::Open {
+        at_ms: &arrivals,
+        batch: Some(policy),
     };
-    Tally {
-        ok,
-        shed,
-        goodput_rps: if out.makespan_ms > 0.0 {
-            ok as f64 / out.makespan_ms * 1000.0
-        } else {
-            0.0
-        },
-        p99_ms,
-        slo: within_slo as f64 / total as f64,
-    }
+    simulate(
+        &keys,
+        at,
+        costs,
+        SimParams::new(WORKERS, QUEUE_CAP, 1),
+        None,
+    )
+    .0
 }
 
 pub(crate) fn render_servebatch(result: &ScenarioResult, opts: &BenchOpts) -> Report {
@@ -233,14 +224,7 @@ pub(crate) fn render_servebatch(result: &ScenarioResult, opts: &BenchOpts) -> Re
     );
 
     let costs = ego_costs(result, opts);
-
-    // Unbatched capacity: every request pays its own cold build plus
-    // inference (distinct users, one-byte LRU), spread over the pool.
-    let mean_work_ms =
-        costs.iter().map(|c| c.build_ms + c.service_ms).sum::<f64>() / costs.len() as f64;
-    let capacity_rps = WORKERS as f64 / mean_work_ms * 1000.0;
-    let slo_ms = 8.0 * mean_work_ms;
-    let delay_ms = 2.0 * mean_work_ms;
+    let load = load_model(&costs);
 
     let mut table = TextTable::new(&[
         "rate (rps)",
@@ -254,25 +238,10 @@ pub(crate) fn render_servebatch(result: &ScenarioResult, opts: &BenchOpts) -> Re
         "SLO",
     ]);
     for mult in RATE_MULTS {
-        let rate_rps = capacity_rps * mult;
-        let gap_ms = 1000.0 / rate_rps;
-        // One fixed request stream per rate, shared by every policy row:
-        // uniformly sampled ego keys, jittered open-loop gaps (pure
-        // arithmetic — no transcendentals — so the report is bit-stable
-        // across hosts).
-        let mut rng = SmallRng::seed_from_u64(STREAM_SEED);
-        let mut keys = Vec::with_capacity(REQUESTS);
-        let mut arrivals = Vec::with_capacity(REQUESTS);
-        let mut t = 0.0;
-        for _ in 0..REQUESTS {
-            keys.push(rng.gen_range(0..costs.len()));
-            t += gap_ms * (0.5 + rng.gen::<f64>());
-            arrivals.push(t);
-        }
-        for p in policies(delay_ms) {
-            let params = SimParams::new(WORKERS, QUEUE_CAP, 1);
-            let out = simulate_open_batched(&keys, &arrivals, &costs, params, p.policy);
-            let row = tally(&out, slo_ms);
+        let rate_rps = load.capacity_rps * mult;
+        for p in policies(load.delay_ms) {
+            let out = replay(&costs, rate_rps, p.policy);
+            let row = tally(&out, load.slo_ms);
             let avg_size = if out.batches == 0 {
                 0.0
             } else {
@@ -305,10 +274,11 @@ pub(crate) fn render_servebatch(result: &ScenarioResult, opts: &BenchOpts) -> Re
     ));
     report.note(format!(
         "capacity model: mean per-request work {} ms (cold build + inference) over {WORKERS} \
-         workers -> {capacity_rps:.1} rps unbatched; SLO {}, former delay {}",
-        ms(mean_work_ms),
-        ms(slo_ms),
-        ms(delay_ms),
+         workers -> {:.1} rps unbatched; SLO {}, former delay {}",
+        ms(load.mean_work_ms),
+        load.capacity_rps,
+        ms(load.slo_ms),
+        ms(load.delay_ms),
     ));
     report.note(
         "(distinct-user regime: the pipeline LRU is held at one byte, so solo requests pay \
@@ -323,6 +293,26 @@ mod tests {
     use super::*;
     use crate::runner::run_scenario_threads;
 
+    /// The acceptance shape, asserted directly on the outcomes: at the
+    /// top offered rate the batch<=8 policy must at least double the
+    /// unbatched goodput and hold the SLO the unbatched path misses.
+    fn assert_batching_wins(result: &ScenarioResult, opts: &BenchOpts) {
+        let costs = ego_costs(result, opts);
+        let load = load_model(&costs);
+        let rate_rps = load.capacity_rps * RATE_MULTS[RATE_MULTS.len() - 1];
+        let rows = policies(load.delay_ms);
+        let solo = tally(&replay(&costs, rate_rps, rows[0].policy), load.slo_ms);
+        let batched = tally(&replay(&costs, rate_rps, rows[2].policy), load.slo_ms);
+        assert!(
+            batched.goodput_rps >= 2.0 * solo.goodput_rps,
+            "batched {:.1} rps vs unbatched {:.1} rps",
+            batched.goodput_rps,
+            solo.goodput_rps,
+        );
+        assert!(solo.slo < 0.99, "unbatched must miss the SLO at overload");
+        assert!(batched.slo >= 0.99, "batched must hold the SLO");
+    }
+
     #[test]
     fn servebatch_report_is_thread_count_invariant_and_batching_wins() {
         let opts = BenchOpts::golden();
@@ -332,50 +322,12 @@ mod tests {
         let a = render_servebatch(&serial, &opts).render(&opts);
         let b = render_servebatch(&parallel, &opts).render(&opts);
         assert_eq!(a, b);
+        assert_batching_wins(&serial, &opts);
 
-        // The acceptance shape, asserted directly on the outcomes: at
-        // the top offered rate the batch<=8 policy must at least double
-        // the unbatched goodput and hold p99 within the SLO the
-        // unbatched path violates.
-        let costs = ego_costs(&serial, &opts);
-        let mean_work_ms =
-            costs.iter().map(|c| c.build_ms + c.service_ms).sum::<f64>() / costs.len() as f64;
-        let capacity_rps = WORKERS as f64 / mean_work_ms * 1000.0;
-        let slo_ms = 8.0 * mean_work_ms;
-        let rate_rps = capacity_rps * RATE_MULTS[RATE_MULTS.len() - 1];
-        let gap_ms = 1000.0 / rate_rps;
-        let mut rng = SmallRng::seed_from_u64(STREAM_SEED);
-        let mut keys = Vec::with_capacity(REQUESTS);
-        let mut arrivals = Vec::with_capacity(REQUESTS);
-        let mut t = 0.0;
-        for _ in 0..REQUESTS {
-            keys.push(rng.gen_range(0..costs.len()));
-            t += gap_ms * (0.5 + rng.gen::<f64>());
-            arrivals.push(t);
-        }
-        let rows = policies(2.0 * mean_work_ms);
-        let solo = simulate_open_batched(
-            &keys,
-            &arrivals,
-            &costs,
-            SimParams::new(WORKERS, QUEUE_CAP, 1),
-            rows[0].policy,
-        );
-        let batched = simulate_open_batched(
-            &keys,
-            &arrivals,
-            &costs,
-            SimParams::new(WORKERS, QUEUE_CAP, 1),
-            rows[2].policy,
-        );
-        let (solo_t, batched_t) = (tally(&solo, slo_ms), tally(&batched, slo_ms));
-        assert!(
-            batched_t.goodput_rps >= 2.0 * solo_t.goodput_rps,
-            "batched {:.1} rps vs unbatched {:.1} rps",
-            batched_t.goodput_rps,
-            solo_t.goodput_rps,
-        );
-        assert!(solo_t.slo < 0.99, "unbatched must miss the SLO at overload");
-        assert!(batched_t.slo >= 0.99, "batched must hold the SLO");
+        // The default mode (full-scale Cora) prints the headline
+        // numbers of `gsuite-cli run-scenario servebatch`; the shape
+        // must hold there too.
+        let opts = BenchOpts::default();
+        assert_batching_wins(&run_scenario_threads(&spec, &opts, 2), &opts);
     }
 }

@@ -29,14 +29,14 @@
 
 //! # Telemetry
 //!
-//! [`simulate_open_traced`] / [`simulate_closed_traced`] run the *same*
-//! simulation while emitting a structured span stream on the sim clock
+//! [`simulate`] with span profiles runs the *same* simulation while
+//! emitting a structured span stream on the sim clock
 //! ([`gsuite_telemetry::Trace`], [`ClockDomain::Sim`]): one `request`
 //! root per request with `queue` / `cache_lookup` / `build`
 //! (`compile.{lower,optimize,decorate,schedule}`) / `service`
 //! (`kernel`, `exchange`) children plus the resilience events `retry`,
-//! `backoff`, `degrade` and `cancelled`. The traced variants return the
-//! identical [`SimOutcome`] as their plain counterparts — tracing is
+//! `backoff`, `degrade` and `cancelled`. A traced run returns the
+//! identical [`SimOutcome`] as an untraced one — tracing is
 //! observation, never perturbation — and the span stream is as
 //! deterministic as the simulation itself.
 //!
@@ -51,6 +51,7 @@
 use crate::cache::{ByteLru, LruStats};
 use crate::resilience::{CircuitBreaker, FaultDraw, FaultPlan, ResilienceConfig};
 use gsuite_telemetry::{Attr, ClockDomain, SpanId, SpanSink, Trace};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// How the serving layer satisfied a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +106,10 @@ pub struct SimCosts {
     /// model and reproduces the historical costs exactly.
     pub template: Option<usize>,
     /// Cross-request batch-merge model of this configuration.
-    /// Configurations sharing a [`SimBatch::group`] may be merged by
-    /// [`simulate_open_batched`] into one batched Plan execution whose
-    /// inference time is `max(fixed_ms) + Σ marginal_ms` over the
-    /// members. `None` (the default everywhere but the batched load
+    /// Configurations sharing a [`SimBatch::group`] may be merged by a
+    /// batched open-loop run ([`Arrivals::Open`]) into one batched Plan
+    /// execution whose inference time is `max(fixed_ms) + Σ marginal_ms`
+    /// over the members. `None` (the default everywhere but the batched load
     /// generator) excludes the configuration from merging: it always
     /// dispatches alone, under the full fault/resilience machinery, and
     /// reproduces the historical costs exactly.
@@ -174,11 +175,11 @@ impl SimParams {
     }
 }
 
-/// The cross-request batch-forming policy of [`simulate_open_batched`]:
-/// how many compatible queued requests may merge into one batched Plan,
-/// how long the head of a forming batch waits for company, and how many
-/// batches may be forming at once before batch-opening arrivals are
-/// shed.
+/// The cross-request batch-forming policy of a batched open-loop run
+/// ([`Arrivals::Open`]): how many compatible queued requests may merge
+/// into one batched Plan, how long the head of a forming batch waits for
+/// company, and how many batches may be forming at once before
+/// batch-opening arrivals are shed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Maximum members per merged execution; a batch reaching it
@@ -281,8 +282,8 @@ pub struct SimOutcome {
     /// Charged builds of template-carrying configurations that paid the
     /// full compile cost (and installed their group).
     pub template_misses: u64,
-    /// Batches dispatched by [`simulate_open_batched`] (singleton
-    /// dispatches included). Zero on the unbatched entry points.
+    /// Batches dispatched by the batch former (singleton dispatches
+    /// included). Zero on unbatched runs.
     pub batches: u64,
     /// Requests that resolved through a dispatched batch.
     pub batched_requests: u64,
@@ -290,7 +291,7 @@ pub struct SimOutcome {
     /// ([`BatchPolicy::max_backlog`]).
     pub batch_shed: u64,
     /// `batch_size_hist[i]` = dispatched batches of size `i + 1`.
-    /// Empty on the unbatched entry points.
+    /// Empty on unbatched runs.
     pub batch_size_hist: Vec<u64>,
     /// Last completion time (ms since sim start).
     pub makespan_ms: f64,
@@ -424,14 +425,18 @@ struct ServiceSim<'a> {
     stale_serves: u64,
     template_hits: u64,
     template_misses: u64,
+    batches: u64,
+    batched_requests: u64,
+    batch_shed: u64,
+    batch_size_hist: Vec<u64>,
     makespan_ms: f64,
-    /// Span recorder, present only in the `_traced` entry points. The
-    /// numeric model never branches on it.
+    /// Span recorder, present only in traced runs. The numeric model
+    /// never branches on it.
     tracer: Option<SimTracer<'a>>,
 }
 
 impl<'a> ServiceSim<'a> {
-    fn new(costs: &'a [SimCosts], params: SimParams) -> Self {
+    fn new(costs: &'a [SimCosts], params: SimParams, spans: Option<&'a [SpanProfile]>) -> Self {
         let breakers = params
             .resilience
             .breaker
@@ -454,18 +459,17 @@ impl<'a> ServiceSim<'a> {
             stale_serves: 0,
             template_hits: 0,
             template_misses: 0,
+            batches: 0,
+            batched_requests: 0,
+            batch_shed: 0,
+            batch_size_hist: Vec::new(),
             makespan_ms: 0.0,
-            tracer: None,
+            tracer: spans.map(|profiles| SimTracer {
+                sink: SpanSink::new(),
+                profiles,
+            }),
             params,
         }
-    }
-
-    fn with_tracer(mut self, profiles: &'a [SpanProfile]) -> Self {
-        self.tracer = Some(SimTracer {
-            sink: SpanSink::new(),
-            profiles,
-        });
-        self
     }
 
     /// The virtual admission lane (Chrome `tid`) for requests shed
@@ -474,9 +478,18 @@ impl<'a> ServiceSim<'a> {
         self.params.workers.max(1) as u32
     }
 
-    /// Traces a request shed at admission (breaker open / queue full):
-    /// a zero-duration `request` root on the admission lane.
-    fn trace_shed(&mut self, key: usize, t: f64, disposition: &str) {
+    /// Sheds request `key` at `t` before any work runs (breaker open,
+    /// queue full, batch backlog full): counts it, traces a
+    /// zero-duration `request` root on the admission lane, and returns
+    /// its record.
+    fn shed(&mut self, key: usize, t: f64, disposition: SimDisposition) -> SimRecord {
+        let (counter, name) = match disposition {
+            SimDisposition::CircuitOpen => (&mut self.circuit_open, "circuit-open"),
+            SimDisposition::Rejected => (&mut self.rejected, "rejected"),
+            SimDisposition::BatchShed => (&mut self.batch_shed, "batch-shed"),
+            other => unreachable!("{other:?} is not a shed disposition"),
+        };
+        *counter += 1;
         let track = self.admission_track();
         if let Some(tr) = self.tracer.as_mut() {
             tr.sink.record(
@@ -485,11 +498,16 @@ impl<'a> ServiceSim<'a> {
                 track,
                 t,
                 0.0,
-                vec![
-                    Attr::u64("key", key as u64),
-                    Attr::str("disposition", disposition),
-                ],
+                vec![Attr::u64("key", key as u64), Attr::str("disposition", name)],
             );
+        }
+        SimRecord {
+            key,
+            submit_ms: t,
+            queue_ms: 0.0,
+            service_ms: 0.0,
+            latency_ms: 0.0,
+            disposition,
         }
     }
 
@@ -666,22 +684,11 @@ impl<'a> ServiceSim<'a> {
         // Retire executions that finished before `t`.
         self.in_flight.retain(|e| e.finish_ms > t);
 
-        let shed = |key, t, disposition| SimRecord {
-            key,
-            submit_ms: t,
-            queue_ms: 0.0,
-            service_ms: 0.0,
-            latency_ms: 0.0,
-            disposition,
-        };
-
         // Known-bad-config shed: the breaker is consulted before queueing
         // or coalescing, exactly like the live server's submit path.
         if let Some(breakers) = &mut self.breakers {
             if !breakers[key].admit(t) {
-                self.circuit_open += 1;
-                self.trace_shed(key, t, "circuit-open");
-                return shed(key, t, SimDisposition::CircuitOpen);
+                return self.shed(key, t, SimDisposition::CircuitOpen);
             }
         }
 
@@ -738,9 +745,7 @@ impl<'a> ServiceSim<'a> {
         if reject {
             let waiting = self.in_flight.iter().filter(|e| e.start_ms > t).count();
             if waiting >= self.params.queue_cap.max(1) {
-                self.rejected += 1;
-                self.trace_shed(key, t, "rejected");
-                return shed(key, t, SimDisposition::Rejected);
+                return self.shed(key, t, SimDisposition::Rejected);
             }
         }
 
@@ -1095,8 +1100,9 @@ impl<'a> ServiceSim<'a> {
         })
     }
 
-    fn into_outcome(self, records: Vec<SimRecord>) -> SimOutcome {
-        SimOutcome {
+    /// The run's outcome, plus its span stream when traced.
+    fn into_outcome(self, records: Vec<SimRecord>) -> (SimOutcome, Option<Trace>) {
+        let outcome = SimOutcome {
             records,
             cache: self.cache.stats(),
             coalesced: self.coalesced,
@@ -1113,12 +1119,14 @@ impl<'a> ServiceSim<'a> {
             stale_serves: self.stale_serves,
             template_hits: self.template_hits,
             template_misses: self.template_misses,
-            batches: 0,
-            batched_requests: 0,
-            batch_shed: 0,
-            batch_size_hist: Vec::new(),
+            batches: self.batches,
+            batched_requests: self.batched_requests,
+            batch_shed: self.batch_shed,
+            batch_size_hist: self.batch_size_hist,
             makespan_ms: self.makespan_ms,
-        }
+        };
+        let trace = self.tracer.map(|tr| tr.sink.finish(ClockDomain::Sim));
+        (outcome, trace)
     }
 
     /// Executes a formed batch of `k ≥ 2` members as **one** merged
@@ -1144,20 +1152,11 @@ impl<'a> ServiceSim<'a> {
         // admitted by the former, but the execution queue is full.
         let waiting = self.in_flight.iter().filter(|e| e.start_ms > t).count();
         if waiting >= self.params.queue_cap.max(1) {
-            let mut records = Vec::with_capacity(batch.members.len());
-            for m in &batch.members {
-                self.rejected += 1;
-                self.trace_shed(m.key, m.at_ms, "rejected");
-                records.push(SimRecord {
-                    key: m.key,
-                    submit_ms: m.at_ms,
-                    queue_ms: 0.0,
-                    service_ms: 0.0,
-                    latency_ms: 0.0,
-                    disposition: SimDisposition::Rejected,
-                });
-            }
-            return records;
+            return batch
+                .members
+                .iter()
+                .map(|m| self.shed(m.key, m.at_ms, SimDisposition::Rejected))
+                .collect();
         }
 
         let w = min_index(&self.worker_free);
@@ -1291,116 +1290,172 @@ impl<'a> ServiceSim<'a> {
         }
         records
     }
+
+    /// Feeds an open-loop stream through a [`BatchFormer`] under
+    /// `policy`, then executes its decisions in order: backlog sheds,
+    /// singleton dispatches on the solo path ([`ServiceSim::offer`]) and
+    /// merged batches on [`ServiceSim::offer_merged`]. Records come back
+    /// in stream order.
+    fn offer_batched(
+        &mut self,
+        keys: &[usize],
+        at_ms: &[f64],
+        policy: BatchPolicy,
+    ) -> Vec<SimRecord> {
+        // The former never reads simulation state, so its whole decision
+        // stream can be formed before any of it executes.
+        let mut former = BatchFormer::new(policy);
+        let mut events = Vec::new();
+        for (i, (&key, &t)) in keys.iter().zip(at_ms).enumerate() {
+            let cost = &self.costs[key];
+            // Unbuildable configurations keep their solo error path (and
+            // never waste a merged execution).
+            let group = match cost.error {
+                Some(_) => None,
+                None => cost.batch.as_ref().map(|b| b.group),
+            };
+            let arrival = BatchArrival {
+                index: i as u64,
+                key,
+                group,
+                at_ms: t,
+            };
+            former.offer(arrival, &mut |e| events.push(e));
+        }
+        former.flush(&mut |e| events.push(e));
+
+        let mut slots: Vec<Option<SimRecord>> = vec![None; keys.len()];
+        for event in events {
+            let b = match event {
+                FormerEvent::Shed(a) => {
+                    let r = self.shed(a.key, a.at_ms, SimDisposition::BatchShed);
+                    slots[a.index as usize] = Some(r);
+                    continue;
+                }
+                FormerEvent::Dispatch(b) => b,
+            };
+            let size = b.members.len();
+            self.batches += 1;
+            self.batched_requests += size as u64;
+            if self.batch_size_hist.len() < size {
+                self.batch_size_hist.resize(size, 0);
+            }
+            self.batch_size_hist[size - 1] += 1;
+            if size == 1 {
+                // The full solo machinery, dispatched at the former's
+                // release; time spent forming counts as queueing (a zero
+                // wait leaves the record — and the max_batch=1
+                // differential — untouched).
+                let m = &b.members[0];
+                let mut r = self.offer(m.index, m.key, b.dispatch_ms, true);
+                let wait = b.dispatch_ms - m.at_ms;
+                if wait > 0.0 {
+                    r.submit_ms = m.at_ms;
+                    r.queue_ms += wait;
+                    r.latency_ms += wait;
+                }
+                slots[m.index as usize] = Some(r);
+            } else {
+                let records = self.offer_merged(&b);
+                for (m, r) in b.members.iter().zip(records) {
+                    slots[m.index as usize] = Some(r);
+                }
+            }
+        }
+        slots
+            .into_iter()
+            .map(|r| r.expect("every arrival resolves in exactly one event"))
+            .collect()
+    }
 }
 
-/// Simulates an **open-loop** run: request `i` (a distinct-configuration
-/// index in `keys`) is submitted at `arrivals[i]` milliseconds regardless
-/// of completions; a full queue sheds arrivals.
+/// How a simulated run's requests arrive.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Arrivals<'a> {
+    /// **Open loop**: request `i` is submitted at `at_ms[i]` regardless
+    /// of completions; a full queue sheds arrivals.
+    ///
+    /// With a `batch` policy the stream first passes through a
+    /// [`BatchFormer`]. Dispatched singletons execute like unbatched
+    /// requests — the full fault/resilience/template/cache machinery —
+    /// at their dispatch time, with the former wait folded into their
+    /// queue time. Merged batches (k ≥ 2) execute the modeled healthy
+    /// fast path: one worker, one amortized merged build,
+    /// `max(fixed) + Σ marginal` inference, per-member scatter. With
+    /// `max_batch == 1` the outcome is **byte-identical** to the
+    /// unbatched run apart from the batch counters.
+    Open {
+        /// Submission times in ms, one per request, nondecreasing.
+        at_ms: &'a [f64],
+        /// Cross-request batch forming; `None` serves every request
+        /// alone.
+        batch: Option<BatchPolicy>,
+    },
+    /// **Closed loop**: `clients` clients share the request stream; each
+    /// submits its next request the moment its previous one completes
+    /// (zero think time). The queue never exceeds the client count, so
+    /// nothing is shed.
+    Closed {
+        /// Concurrent clients.
+        clients: usize,
+    },
+}
+
+/// Simulates one run: request `i` asks for distinct configuration
+/// `keys[i]` (an index into `costs`) and arrives as `arrivals` says.
+///
+/// With `spans`, the run also records its sim-clock span stream (one
+/// `request` tree per request) and returns it next to the identical
+/// [`SimOutcome`]. `spans` supplies the per-key `kernel`/`exchange`
+/// breakdown of each `service` span; pass `Some(&[])` to trace envelopes
+/// only. Merged batches add a `batch.form` span on the worker track (the
+/// forming window), one `request` root per member sharing the batch
+/// `service` envelope, and a zero-duration `batch.scatter` marker at
+/// completion.
 ///
 /// # Panics
 ///
-/// Panics if `keys` and `arrivals` differ in length or arrivals are not
-/// nondecreasing.
-pub fn simulate_open(
+/// Panics if open-loop `keys` and `at_ms` differ in length or the
+/// arrivals are not nondecreasing.
+pub fn simulate(
     keys: &[usize],
-    arrivals: &[f64],
+    arrivals: Arrivals<'_>,
     costs: &[SimCosts],
     params: SimParams,
-) -> SimOutcome {
-    let (outcome, _) = run_open(keys, arrivals, costs, params, None);
-    outcome
-}
-
-/// [`simulate_open`] with span recording: returns the identical
-/// [`SimOutcome`] plus the sim-clock span stream (one `request` tree per
-/// request). `profiles` supplies the per-key `kernel`/`exchange`
-/// breakdown of each `service` span; pass `&[]` to trace envelopes only.
-pub fn simulate_open_traced(
-    keys: &[usize],
-    arrivals: &[f64],
-    costs: &[SimCosts],
-    params: SimParams,
-    profiles: &[SpanProfile],
-) -> (SimOutcome, Trace) {
-    let (outcome, trace) = run_open(keys, arrivals, costs, params, Some(profiles));
-    (outcome, trace.expect("tracer was installed"))
-}
-
-fn run_open(
-    keys: &[usize],
-    arrivals: &[f64],
-    costs: &[SimCosts],
-    params: SimParams,
-    profiles: Option<&[SpanProfile]>,
+    spans: Option<&[SpanProfile]>,
 ) -> (SimOutcome, Option<Trace>) {
-    assert_eq!(keys.len(), arrivals.len(), "one arrival per request");
-    assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "arrivals must be nondecreasing"
-    );
-    let mut sim = ServiceSim::new(costs, params);
-    if let Some(profiles) = profiles {
-        sim = sim.with_tracer(profiles);
-    }
-    let records = keys
-        .iter()
-        .zip(arrivals)
-        .enumerate()
-        .map(|(i, (&key, &t))| sim.offer(i as u64, key, t, true))
-        .collect();
-    let trace = sim.tracer.take().map(|tr| tr.sink.finish(ClockDomain::Sim));
-    (sim.into_outcome(records), trace)
-}
-
-/// Simulates a **closed-loop** run: `clients` clients share the request
-/// stream; each submits its next request the moment its previous one
-/// completes (zero think time). The queue never exceeds the client count,
-/// so nothing is shed.
-pub fn simulate_closed(
-    keys: &[usize],
-    clients: usize,
-    costs: &[SimCosts],
-    params: SimParams,
-) -> SimOutcome {
-    let (outcome, _) = run_closed(keys, clients, costs, params, None);
-    outcome
-}
-
-/// [`simulate_closed`] with span recording — see
-/// [`simulate_open_traced`] for the contract.
-pub fn simulate_closed_traced(
-    keys: &[usize],
-    clients: usize,
-    costs: &[SimCosts],
-    params: SimParams,
-    profiles: &[SpanProfile],
-) -> (SimOutcome, Trace) {
-    let (outcome, trace) = run_closed(keys, clients, costs, params, Some(profiles));
-    (outcome, trace.expect("tracer was installed"))
-}
-
-fn run_closed(
-    keys: &[usize],
-    clients: usize,
-    costs: &[SimCosts],
-    params: SimParams,
-    profiles: Option<&[SpanProfile]>,
-) -> (SimOutcome, Option<Trace>) {
-    let clients = clients.max(1);
-    let mut sim = ServiceSim::new(costs, params);
-    if let Some(profiles) = profiles {
-        sim = sim.with_tracer(profiles);
-    }
-    let mut available: Vec<f64> = vec![0.0; clients];
-    let mut records = Vec::with_capacity(keys.len());
-    for (i, &key) in keys.iter().enumerate() {
-        let c = min_index(&available);
-        let record = sim.offer(i as u64, key, available[c], false);
-        available[c] += record.latency_ms.max(0.0);
-        records.push(record);
-    }
-    let trace = sim.tracer.take().map(|tr| tr.sink.finish(ClockDomain::Sim));
-    (sim.into_outcome(records), trace)
+    let mut sim = ServiceSim::new(costs, params, spans);
+    let records = match arrivals {
+        Arrivals::Closed { clients } => {
+            let mut available: Vec<f64> = vec![0.0; clients.max(1)];
+            keys.iter()
+                .enumerate()
+                .map(|(i, &key)| {
+                    let c = min_index(&available);
+                    let record = sim.offer(i as u64, key, available[c], false);
+                    available[c] += record.latency_ms.max(0.0);
+                    record
+                })
+                .collect()
+        }
+        Arrivals::Open { at_ms, batch } => {
+            assert_eq!(keys.len(), at_ms.len(), "one arrival per request");
+            assert!(
+                at_ms.windows(2).all(|w| w[0] <= w[1]),
+                "arrivals must be nondecreasing"
+            );
+            match batch {
+                Some(policy) => sim.offer_batched(keys, at_ms, policy),
+                None => keys
+                    .iter()
+                    .zip(at_ms)
+                    .enumerate()
+                    .map(|(i, (&key, &t))| sim.offer(i as u64, key, t, true))
+                    .collect(),
+            }
+        }
+    };
+    sim.into_outcome(records)
 }
 
 /// One request offered to the [`BatchFormer`].
@@ -1567,179 +1622,89 @@ impl BatchFormer {
     }
 }
 
-/// Simulates an **open-loop** run with cross-request batching: the
-/// arrival stream passes through a [`BatchFormer`] under `policy`.
-/// Dispatched singletons execute exactly like [`simulate_open`]
-/// requests — the full fault/resilience/template/cache machinery — at
-/// their dispatch time, with the former wait folded into their queue
-/// time. Merged batches (k ≥ 2) execute the modeled healthy fast path
-/// ([`ServiceSim::offer_merged`]): one worker, one amortized merged
-/// build, `max(fixed) + Σ marginal` inference, per-member scatter.
-///
-/// With `policy.max_batch == 1` the outcome is **byte-identical** to
-/// [`simulate_open`] apart from the batch counters: every request
-/// dispatches alone at its own arrival time.
-pub fn simulate_open_batched(
-    keys: &[usize],
-    arrivals: &[f64],
-    costs: &[SimCosts],
-    params: SimParams,
-    policy: BatchPolicy,
-) -> SimOutcome {
-    let (outcome, _) = run_open_batched(keys, arrivals, costs, params, policy, None);
-    outcome
+/// A seeded open-loop request stream for the sim-clock scenarios
+/// (`chaos`, `servebatch`): `requests` keys drawn uniformly from
+/// `0..universe`, arriving with gaps jittered uniformly over
+/// `[0.5, 1.5) · gap_ms`. Pure arithmetic — no transcendentals — so the
+/// stream is bit-stable across hosts.
+pub(crate) fn jittered_stream(
+    seed: u64,
+    requests: usize,
+    universe: usize,
+    gap_ms: f64,
+) -> (Vec<usize>, Vec<f64>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut t = 0.0;
+    (0..requests)
+        .map(|_| {
+            let key = rng.gen_range(0..universe);
+            t += gap_ms * (0.5 + rng.gen::<f64>());
+            (key, t)
+        })
+        .unzip()
 }
 
-/// [`simulate_open_batched`] with span recording — the identical
-/// [`SimOutcome`] plus the sim-clock span stream. Merged batches add a
-/// `batch.form` span on the worker track (the forming window), one
-/// `request` root per member sharing the batch `service` envelope, and
-/// a zero-duration `batch.scatter` marker at completion.
-pub fn simulate_open_batched_traced(
-    keys: &[usize],
-    arrivals: &[f64],
-    costs: &[SimCosts],
-    params: SimParams,
-    policy: BatchPolicy,
-    profiles: &[SpanProfile],
-) -> (SimOutcome, Trace) {
-    let (outcome, trace) = run_open_batched(keys, arrivals, costs, params, policy, Some(profiles));
-    (outcome, trace.expect("tracer was installed"))
+/// The per-run tallies the sim-clock scenarios report.
+pub(crate) struct Tally {
+    pub ok: usize,
+    pub err: usize,
+    pub shed: usize,
+    pub timeouts: usize,
+    pub goodput_rps: f64,
+    pub p99_ms: f64,
+    /// Fraction of all requests that completed within the SLO.
+    pub slo: f64,
+    /// Fraction of all requests that completed successfully.
+    pub availability: f64,
 }
 
-fn run_open_batched(
-    keys: &[usize],
-    arrivals: &[f64],
-    costs: &[SimCosts],
-    params: SimParams,
-    policy: BatchPolicy,
-    profiles: Option<&[SpanProfile]>,
-) -> (SimOutcome, Option<Trace>) {
-    assert_eq!(keys.len(), arrivals.len(), "one arrival per request");
-    assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "arrivals must be nondecreasing"
-    );
-    let mut sim = ServiceSim::new(costs, params);
-    if let Some(profiles) = profiles {
-        sim = sim.with_tracer(profiles);
-    }
-    let mut former = BatchFormer::new(policy);
-    let mut events: Vec<FormerEvent> = Vec::new();
-    let mut slots: Vec<Option<SimRecord>> = vec![None; keys.len()];
-    let mut batches: u64 = 0;
-    let mut batched_requests: u64 = 0;
-    let mut batch_shed: u64 = 0;
-    let mut hist: Vec<u64> = Vec::new();
-
-    fn handle(
-        sim: &mut ServiceSim<'_>,
-        slots: &mut [Option<SimRecord>],
-        batches: &mut u64,
-        batched_requests: &mut u64,
-        batch_shed: &mut u64,
-        hist: &mut Vec<u64>,
-        ev: FormerEvent,
-    ) {
-        match ev {
-            FormerEvent::Shed(a) => {
-                *batch_shed += 1;
-                sim.trace_shed(a.key, a.at_ms, "batch-shed");
-                slots[a.index as usize] = Some(SimRecord {
-                    key: a.key,
-                    submit_ms: a.at_ms,
-                    queue_ms: 0.0,
-                    service_ms: 0.0,
-                    latency_ms: 0.0,
-                    disposition: SimDisposition::BatchShed,
-                });
-            }
-            FormerEvent::Dispatch(b) => {
-                *batches += 1;
-                *batched_requests += b.members.len() as u64;
-                let size = b.members.len();
-                if hist.len() < size {
-                    hist.resize(size, 0);
-                }
-                hist[size - 1] += 1;
-                if size == 1 {
-                    // The full solo machinery, dispatched at the
-                    // former's release; time spent forming counts as
-                    // queueing (a zero wait leaves the record — and
-                    // the max_batch=1 differential — untouched).
-                    let m = &b.members[0];
-                    let mut r = sim.offer(m.index, m.key, b.dispatch_ms, true);
-                    let wait = b.dispatch_ms - m.at_ms;
-                    if wait > 0.0 {
-                        r.submit_ms = m.at_ms;
-                        r.queue_ms += wait;
-                        r.latency_ms += wait;
-                    }
-                    slots[m.index as usize] = Some(r);
-                } else {
-                    let records = sim.offer_merged(&b);
-                    for (m, r) in b.members.iter().zip(records) {
-                        slots[m.index as usize] = Some(r);
-                    }
+/// Tallies one simulated run against a latency SLO. `p99_ms` is the
+/// 0-based rank `ceil((n − 1) · 0.99)` over the successful latencies.
+pub(crate) fn tally(out: &SimOutcome, slo_ms: f64) -> Tally {
+    let total = out.records.len().max(1);
+    let mut ok = 0usize;
+    let mut err = 0usize;
+    let mut shed = 0usize;
+    let mut timeouts = 0usize;
+    let mut within_slo = 0usize;
+    let mut ok_latencies: Vec<f64> = Vec::new();
+    for r in &out.records {
+        match r.disposition {
+            SimDisposition::Done(_) => {
+                ok += 1;
+                ok_latencies.push(r.latency_ms);
+                if r.latency_ms <= slo_ms {
+                    within_slo += 1;
                 }
             }
+            SimDisposition::Error | SimDisposition::Crashed => err += 1,
+            SimDisposition::Rejected | SimDisposition::CircuitOpen | SimDisposition::BatchShed => {
+                shed += 1
+            }
+            SimDisposition::TimedOut => timeouts += 1,
         }
     }
-
-    for (i, (&key, &t)) in keys.iter().zip(arrivals).enumerate() {
-        let cost = &costs[key];
-        let group = if cost.error.is_some() {
-            // Unbuildable configurations must keep their solo error
-            // path (and never waste a merged execution).
-            None
+    ok_latencies.sort_by(|a, b| a.total_cmp(b));
+    let p99_ms = if ok_latencies.is_empty() {
+        0.0
+    } else {
+        let rank = ((ok_latencies.len() - 1) as f64 * 0.99).ceil() as usize;
+        ok_latencies[rank]
+    };
+    Tally {
+        ok,
+        err,
+        shed,
+        timeouts,
+        goodput_rps: if out.makespan_ms > 0.0 {
+            ok as f64 / out.makespan_ms * 1000.0
         } else {
-            cost.batch.as_ref().map(|b| b.group)
-        };
-        former.offer(
-            BatchArrival {
-                index: i as u64,
-                key,
-                group,
-                at_ms: t,
-            },
-            &mut |e| events.push(e),
-        );
-        for ev in events.drain(..) {
-            handle(
-                &mut sim,
-                &mut slots,
-                &mut batches,
-                &mut batched_requests,
-                &mut batch_shed,
-                &mut hist,
-                ev,
-            );
-        }
+            0.0
+        },
+        p99_ms,
+        slo: within_slo as f64 / total as f64,
+        availability: ok as f64 / total as f64,
     }
-    former.flush(&mut |e| events.push(e));
-    for ev in events.drain(..) {
-        handle(
-            &mut sim,
-            &mut slots,
-            &mut batches,
-            &mut batched_requests,
-            &mut batch_shed,
-            &mut hist,
-            ev,
-        );
-    }
-
-    let trace = sim.tracer.take().map(|tr| tr.sink.finish(ClockDomain::Sim));
-    let records = slots
-        .into_iter()
-        .map(|r| r.expect("every arrival resolves in exactly one event"))
-        .collect();
-    let mut outcome = sim.into_outcome(records);
-    outcome.batches = batches;
-    outcome.batched_requests = batched_requests;
-    outcome.batch_shed = batch_shed;
-    outcome.batch_size_hist = hist;
-    (outcome, trace)
 }
 
 /// Index of the minimum element (first on ties) — worker/client election.
@@ -1776,11 +1741,45 @@ mod tests {
         SimParams::new(workers, queue, cache)
     }
 
+    /// An untraced open-loop run.
+    fn open(keys: &[usize], at_ms: &[f64], costs: &[SimCosts], p: SimParams) -> SimOutcome {
+        simulate(keys, Arrivals::Open { at_ms, batch: None }, costs, p, None).0
+    }
+
+    /// An untraced batched open-loop run.
+    fn batched(
+        keys: &[usize],
+        at_ms: &[f64],
+        costs: &[SimCosts],
+        p: SimParams,
+        policy: BatchPolicy,
+    ) -> SimOutcome {
+        let batch = Some(policy);
+        simulate(keys, Arrivals::Open { at_ms, batch }, costs, p, None).0
+    }
+
+    /// An untraced closed-loop run.
+    fn closed(keys: &[usize], clients: usize, costs: &[SimCosts], p: SimParams) -> SimOutcome {
+        simulate(keys, Arrivals::Closed { clients }, costs, p, None).0
+    }
+
+    /// A traced run: the outcome plus its span stream.
+    fn traced(
+        keys: &[usize],
+        arrivals: Arrivals<'_>,
+        costs: &[SimCosts],
+        p: SimParams,
+        spans: &[SpanProfile],
+    ) -> (SimOutcome, Trace) {
+        let (out, trace) = simulate(keys, arrivals, costs, p, Some(spans));
+        (out, trace.expect("traced runs return their span stream"))
+    }
+
     #[test]
     fn single_worker_serializes_and_caches() {
         let costs = costs(1, 10.0, 5.0, 100);
         // Same key three times, back-to-back arrivals after completion.
-        let out = simulate_open(&[0, 0, 0], &[0.0, 20.0, 40.0], &costs, params(1, 4, 1000));
+        let out = open(&[0, 0, 0], &[0.0, 20.0, 40.0], &costs, params(1, 4, 1000));
         // First: miss (build + service = 15), later: hits (10 each).
         assert_eq!(out.records[0].latency_ms, 15.0);
         assert_eq!(out.records[1].latency_ms, 10.0);
@@ -1797,7 +1796,7 @@ mod tests {
         let mut costs = costs(2, 10.0, 8.0, 100);
         costs[0].template = Some(0);
         costs[1].template = Some(0);
-        let out = simulate_open(&[0, 1], &[0.0, 20.0], &costs, params(1, 4, 1000));
+        let out = open(&[0, 1], &[0.0, 20.0], &costs, params(1, 4, 1000));
         assert_eq!(out.records[0].latency_ms, 18.0, "full build + service");
         assert_eq!(
             out.records[1].latency_ms,
@@ -1808,7 +1807,7 @@ mod tests {
 
         // `template: None` reproduces the historical costs exactly.
         let plain = costs_plain(&costs);
-        let legacy = simulate_open(&[0, 1], &[0.0, 20.0], &plain, params(1, 4, 1000));
+        let legacy = open(&[0, 1], &[0.0, 20.0], &plain, params(1, 4, 1000));
         assert_eq!(legacy.records[1].latency_ms, 18.0);
         assert_eq!((legacy.template_misses, legacy.template_hits), (0, 0));
     }
@@ -1827,7 +1826,7 @@ mod tests {
     fn overlapping_identical_requests_coalesce() {
         let costs = costs(1, 10.0, 5.0, 100);
         // Second arrives while the first is still executing.
-        let out = simulate_open(&[0, 0], &[0.0, 3.0], &costs, params(2, 4, 1000));
+        let out = open(&[0, 0], &[0.0, 3.0], &costs, params(2, 4, 1000));
         assert_eq!(out.coalesced, 1);
         assert_eq!(out.records[1].latency_ms, 12.0); // finishes at 15, arrived at 3
         assert_eq!(
@@ -1844,7 +1843,7 @@ mod tests {
         let costs = costs(3, 100.0, 0.0, 1);
         // Three distinct configs at t=0 on one worker with queue depth 1:
         // first executes, second waits, third is shed.
-        let out = simulate_open(&[0, 1, 2], &[0.0, 0.0, 0.0], &costs, params(1, 1, 1000));
+        let out = open(&[0, 1, 2], &[0.0, 0.0, 0.0], &costs, params(1, 1, 1000));
         assert_eq!(out.rejected, 1);
         assert_eq!(out.records[2].disposition, SimDisposition::Rejected);
         assert_eq!(out.records[1].queue_ms, 100.0);
@@ -1856,7 +1855,7 @@ mod tests {
         let costs = costs(3, 1.0, 1.0, 100);
         let keys = [0, 1, 2, 0]; // 0 evicted by 2's insertion, so the last 0 misses again
         let arrivals = [0.0, 10.0, 20.0, 30.0];
-        let out = simulate_open(&keys, &arrivals, &costs, params(1, 4, 200));
+        let out = open(&keys, &arrivals, &costs, params(1, 4, 200));
         assert_eq!(out.cache.misses, 4);
         assert_eq!(out.cache.evictions, 2);
         assert_eq!(out.cache.hits, 0);
@@ -1866,7 +1865,7 @@ mod tests {
     fn closed_loop_keeps_clients_busy() {
         let costs = costs(2, 10.0, 0.0, 1);
         let keys = [0, 1, 0, 1, 0, 1];
-        let out = simulate_closed(&keys, 2, &costs, params(2, 8, 1000));
+        let out = closed(&keys, 2, &costs, params(2, 8, 1000));
         assert_eq!(out.rejected, 0);
         // Two clients, two workers, 10 ms each, 6 requests => 30 ms.
         assert_eq!(out.makespan_ms, 30.0);
@@ -1877,7 +1876,7 @@ mod tests {
     fn error_configs_complete_as_errors() {
         let mut c = costs(2, 10.0, 5.0, 100);
         c[1].error = Some("unsupported".to_string());
-        let out = simulate_open(&[1, 1], &[0.0, 100.0], &c, params(1, 4, 1000));
+        let out = open(&[1, 1], &[0.0, 100.0], &c, params(1, 4, 1000));
         assert!(out
             .records
             .iter()
@@ -1893,11 +1892,11 @@ mod tests {
         let costs = costs(4, 3.0, 1.5, 64);
         let keys: Vec<usize> = (0..40).map(|i| i % 4).collect();
         let arrivals: Vec<f64> = (0..40).map(|i| i as f64 * 0.75).collect();
-        let a = simulate_open(&keys, &arrivals, &costs, params(3, 8, 128));
-        let b = simulate_open(&keys, &arrivals, &costs, params(3, 8, 128));
+        let a = open(&keys, &arrivals, &costs, params(3, 8, 128));
+        let b = open(&keys, &arrivals, &costs, params(3, 8, 128));
         assert_eq!(a, b);
-        let c = simulate_closed(&keys, 5, &costs, params(3, 8, 128));
-        let d = simulate_closed(&keys, 5, &costs, params(3, 8, 128));
+        let c = closed(&keys, 5, &costs, params(3, 8, 128));
+        let d = closed(&keys, 5, &costs, params(3, 8, 128));
         assert_eq!(c, d);
     }
 
@@ -1917,8 +1916,8 @@ mod tests {
             },
             ..params(2, 8, 256)
         };
-        let a = simulate_open(&keys, &arrivals, &costs, p);
-        let b = simulate_open(&keys, &arrivals, &costs, p);
+        let a = open(&keys, &arrivals, &costs, p);
+        let b = open(&keys, &arrivals, &costs, p);
         assert_eq!(a, b);
         // The fault mix actually fired something.
         assert!(a.retries + a.timeouts + a.crashed > 0);
@@ -1946,7 +1945,7 @@ mod tests {
             },
             ..params(1, 4, 100)
         };
-        let out = simulate_open(&[0], &[0.0], &costs, p);
+        let out = open(&[0], &[0.0], &costs, p);
         assert_eq!(out.records[0].disposition, SimDisposition::Error);
         assert_eq!(out.retries, 2, "both retries spent");
         // 3 attempts x 10 ms plus two jittered backoffs in [2, 4) + [4, 8).
@@ -1968,7 +1967,7 @@ mod tests {
             fault: Some(always_crash),
             ..params(1, 4, 100)
         };
-        let out = simulate_open(&[0], &[0.0], &costs, no_retry);
+        let out = open(&[0], &[0.0], &costs, no_retry);
         assert_eq!(out.records[0].disposition, SimDisposition::Crashed);
         assert_eq!(out.crashed, 1);
         let with_retry = SimParams {
@@ -1978,7 +1977,7 @@ mod tests {
             },
             ..no_retry
         };
-        let out = simulate_open(&[0], &[0.0], &costs, with_retry);
+        let out = open(&[0], &[0.0], &costs, with_retry);
         assert_eq!(out.crashed, 4, "initial attempt + 3 retries all crash");
         assert_eq!(out.records[0].disposition, SimDisposition::Crashed);
     }
@@ -1993,7 +1992,7 @@ mod tests {
             },
             ..params(1, 4, 100)
         };
-        let out = simulate_open(&[0, 1], &[0.0, 10.0], &costs, p);
+        let out = open(&[0, 1], &[0.0, 10.0], &costs, p);
         assert_eq!(out.records[0].disposition, SimDisposition::TimedOut);
         assert_eq!(out.records[0].latency_ms, 50.0);
         assert_eq!(out.timeouts, 2);
@@ -2022,7 +2021,7 @@ mod tests {
         };
         let keys = vec![0usize; 8];
         let arrivals: Vec<f64> = (0..8).map(|i| i as f64 * 10.0).collect();
-        let out = simulate_open(&keys, &arrivals, &c, p);
+        let out = open(&keys, &arrivals, &c, p);
         assert_eq!(out.breaker_trips, 1);
         assert_eq!(out.circuit_open, 4, "after 4 failures the rest are shed");
         assert!(out.records[7].disposition == SimDisposition::CircuitOpen);
@@ -2041,7 +2040,7 @@ mod tests {
             },
             ..params(1, 4, 100)
         };
-        let out = simulate_open(&[0, 0], &[0.0, 100.0], &costs, degrade);
+        let out = open(&[0, 0], &[0.0, 100.0], &costs, degrade);
         assert_eq!(
             out.records[0].disposition,
             SimDisposition::Done(CacheDisposition::Miss)
@@ -2063,7 +2062,7 @@ mod tests {
             },
             ..params(1, 4, 100)
         };
-        let out = simulate_open(&[0, 0], &[0.0, 100.0], &costs, warm);
+        let out = open(&[0, 0], &[0.0, 100.0], &costs, warm);
         // Entry built at t=30; at t=100 it is 70 ms old (> 50 TTL) and the
         // refresh (30 ms) fits the 200 ms deadline: refreshed in line.
         assert_eq!(out.stale_serves, 0);
@@ -2099,7 +2098,7 @@ mod tests {
         // the worker until 115. t=100: config 0 again — dispatches at
         // 115, budget left is 20 ms (deadline 135): the 30 ms refresh
         // does not fit, the 10 ms stale serve does.
-        let out = simulate_open(&[0, 1, 0], &[0.0, 90.0, 100.0], &c, p);
+        let out = open(&[0, 1, 0], &[0.0, 90.0, 100.0], &c, p);
         assert_eq!(out.stale_serves, 1);
         assert_eq!(
             out.records[2].disposition,
@@ -2125,7 +2124,7 @@ mod tests {
             fault: Some(always_link),
             ..params(1, 4, 100)
         };
-        let out = simulate_open(&[0], &[0.0], &c, p);
+        let out = open(&[0], &[0.0], &c, p);
         // service 10 + exchange 2 x (4 - 1) = 16.
         assert_eq!(out.records[0].latency_ms, 16.0);
     }
@@ -2146,16 +2145,17 @@ mod tests {
             },
             ..params(2, 8, 256)
         };
-        let plain = simulate_open(&keys, &arrivals, &costs, p);
-        let (traced, trace) = simulate_open_traced(&keys, &arrivals, &costs, p, &[]);
-        assert_eq!(plain, traced, "tracing must never perturb the model");
+        let plain = open(&keys, &arrivals, &costs, p);
+        let arrivals = Arrivals::Open {
+            at_ms: &arrivals,
+            batch: None,
+        };
+        let (out, trace) = traced(&keys, arrivals, &costs, p, &[]);
+        assert_eq!(plain, out, "tracing must never perturb the model");
         assert_eq!(trace.root_count(), keys.len(), "one request root each");
-        let (closed_plain, closed_trace) =
-            simulate_closed_traced(&keys, 5, &costs, params(3, 8, 128), &[]);
-        assert_eq!(
-            closed_plain,
-            simulate_closed(&keys, 5, &costs, params(3, 8, 128))
-        );
+        let closed_loop = Arrivals::Closed { clients: 5 };
+        let (closed_out, closed_trace) = traced(&keys, closed_loop, &costs, params(3, 8, 128), &[]);
+        assert_eq!(closed_out, closed(&keys, 5, &costs, params(3, 8, 128)));
         assert_eq!(closed_trace.root_count(), keys.len());
     }
 
@@ -2190,8 +2190,12 @@ mod tests {
             },
             ..params(2, 4, 128)
         };
-        let (_, a) = simulate_open_traced(&keys, &arrivals, &costs, p, &profiles);
-        let (_, b) = simulate_open_traced(&keys, &arrivals, &costs, p, &profiles);
+        let arrivals = Arrivals::Open {
+            at_ms: &arrivals,
+            batch: None,
+        };
+        let (_, a) = traced(&keys, arrivals, &costs, p, &profiles);
+        let (_, b) = traced(&keys, arrivals, &costs, p, &profiles);
         assert_eq!(a.to_chrome_json(), b.to_chrome_json());
         assert_eq!(a.render_tree(), b.render_tree());
         gsuite_telemetry::json::validate(&a.to_chrome_json()).expect("valid chrome JSON");
@@ -2216,7 +2220,11 @@ mod tests {
             },
             ..params(1, 4, 100)
         };
-        let (out, trace) = simulate_open_traced(&[0], &[0.0], &costs, degrade, &[]);
+        let arrivals = Arrivals::Open {
+            at_ms: &[0.0],
+            batch: None,
+        };
+        let (out, trace) = traced(&[0], arrivals, &costs, degrade, &[]);
         assert_eq!(out.degraded, 1);
         assert!(trace.spans.iter().any(|s| s.name == "degrade"));
         let build: Vec<_> = trace.spans.iter().filter(|s| s.name == "build").collect();
@@ -2249,7 +2257,7 @@ mod tests {
             ..params(1, 4, 1000)
         };
         // Every attempt's storm clears the cache first: all misses.
-        let out = simulate_open(&[0, 0, 0], &[0.0, 10.0, 20.0], &costs, p);
+        let out = open(&[0, 0, 0], &[0.0, 10.0, 20.0], &costs, p);
         assert_eq!(out.cache.hits, 0);
         assert_eq!(out.cache.misses, 3);
         assert_eq!(out.cache.evictions, 2, "two cached entries were stormed");
@@ -2340,7 +2348,7 @@ mod tests {
     #[test]
     fn batched_with_max_batch_one_is_byte_identical_to_unbatched() {
         // Batch metadata present on every cost, full fault/resilience
-        // machinery active: max_batch=1 must reduce to simulate_open
+        // machinery active: max_batch=1 must reduce to the unbatched run
         // exactly (the differential anchor of the batched model).
         let mut costs = costs(4, 3.0, 1.5, 64);
         for (i, c) in costs.iter_mut().enumerate() {
@@ -2364,13 +2372,13 @@ mod tests {
             },
             ..params(2, 8, 256)
         };
-        let unbatched = simulate_open(&keys, &arrivals, &costs, p);
+        let unbatched = open(&keys, &arrivals, &costs, p);
         let policy = BatchPolicy {
             max_batch: 1,
             max_queue_delay_ms: 4.0,
             max_backlog: 2,
         };
-        let batched = simulate_open_batched(&keys, &arrivals, &costs, p, policy);
+        let batched = batched(&keys, &arrivals, &costs, p, policy);
         assert_eq!(batched.batches, 60);
         assert_eq!(batched.batched_requests, 60);
         assert_eq!(batched.batch_size_hist, vec![60]);
@@ -2381,7 +2389,7 @@ mod tests {
         stripped.batch_size_hist = Vec::new();
         assert_eq!(
             stripped, unbatched,
-            "max_batch=1 must reproduce simulate_open"
+            "max_batch=1 must reproduce the unbatched run"
         );
     }
 
@@ -2411,7 +2419,7 @@ mod tests {
         };
         let keys = [0, 1, 0, 1];
         let arrivals = [0.0, 0.5, 100.0, 100.5];
-        let out = simulate_open_batched(&keys, &arrivals, &costs, params(2, 8, 1), policy);
+        let out = batched(&keys, &arrivals, &costs, params(2, 8, 1), policy);
         // First pair: filled at 0.5; merged build = 4 + 0.25·4 = 5,
         // inference = max(8, 8) + 2 + 2 = 12; finish = 17.5.
         assert_eq!(out.records[0].latency_ms, 17.5);
@@ -2431,7 +2439,7 @@ mod tests {
 
         // The same stream unbatched keeps full per-request costs: the
         // merged run strictly beats it on makespan.
-        let unbatched = simulate_open(&keys, &arrivals, &costs, params(2, 8, 1));
+        let unbatched = open(&keys, &arrivals, &costs, params(2, 8, 1));
         assert!(out.makespan_ms < unbatched.makespan_ms);
     }
 
@@ -2453,7 +2461,7 @@ mod tests {
             max_queue_delay_ms: 100.0,
             max_backlog: 1,
         };
-        let out = simulate_open_batched(
+        let out = batched(
             &[0, 1, 2],
             &[0.0, 1.0, 2.0],
             &costs,
@@ -2500,7 +2508,7 @@ mod tests {
         // 0 and 1 merge (dispatch at 0.5, finish 17.5); a second key-0
         // request at t=3 finds the merged execution in flight and
         // coalesces onto it rather than re-executing.
-        let out = simulate_open_batched(
+        let out = batched(
             &[0, 1, 0],
             &[0.0, 0.5, 3.0],
             &costs,
@@ -2533,14 +2541,18 @@ mod tests {
             max_backlog: 0,
         };
         let p = params(2, 8, 256);
-        let plain = simulate_open_batched(&keys, &arrivals, &costs, p, policy);
-        let (traced, a) = simulate_open_batched_traced(&keys, &arrivals, &costs, p, policy, &[]);
-        assert_eq!(plain, traced, "tracing must never perturb the model");
+        let plain = batched(&keys, &arrivals, &costs, p, policy);
+        let arrivals = Arrivals::Open {
+            at_ms: &arrivals,
+            batch: Some(policy),
+        };
+        let (out, a) = traced(&keys, arrivals, &costs, p, &[]);
+        assert_eq!(plain, out, "tracing must never perturb the model");
         assert!(
             plain.batch_size_hist.len() > 1,
             "some real merging happened"
         );
-        let (_, b) = simulate_open_batched_traced(&keys, &arrivals, &costs, p, policy, &[]);
+        let (_, b) = traced(&keys, arrivals, &costs, p, &[]);
         assert_eq!(a.to_chrome_json(), b.to_chrome_json());
         gsuite_telemetry::json::validate(&a.to_chrome_json()).expect("valid chrome JSON");
         for name in ["batch.form", "batch.scatter", "request", "service"] {

@@ -78,10 +78,11 @@ pub mod sim {
 }
 
 pub use cache::ShardedByteLru;
+pub use gsuite_scenarios::sim::build_cost_ms;
 pub use gsuite_scenarios::{ByteLru, LruStats};
 pub use loadgen::{
-    build_cost_ms, run_loadgen, run_loadgen_traced, ArrivalMode, BatchSummary, ClockMode,
-    LatencySummary, LoadReport, LoadSpec, ResilienceSummary, SloReport, PHASE_SPAN_NAMES,
+    run_loadgen, run_loadgen_traced, ArrivalMode, BatchSummary, ClockMode, LatencySummary,
+    LoadReport, LoadSpec, ResilienceSummary, SloReport, PHASE_SPAN_NAMES,
 };
 pub use net::{loadgen_tcp, serve_blocking, serve_on, ProtocolClient};
 pub use request::{CacheDisposition, ServeRequest};

@@ -32,9 +32,8 @@ use crate::fault::{FaultPlan, ResilienceConfig};
 use crate::request::ServeRequest;
 use crate::server::{entry_bytes, Completion, ServeConfig, Server, SubmitError};
 use crate::sim::{
-    simulate_closed, simulate_closed_traced, simulate_open, simulate_open_batched,
-    simulate_open_batched_traced, simulate_open_traced, BatchPolicy, SimBatch, SimCosts,
-    SimDisposition, SimParams, SpanProfile,
+    build_cost_ms, simulate, Arrivals, BatchPolicy, SimBatch, SimCosts, SimDisposition, SimParams,
+    SpanProfile,
 };
 
 /// How the stream's submission times are produced.
@@ -115,8 +114,8 @@ pub struct LoadSpec {
     /// request alone and keeps all reports byte-identical to the
     /// unbatched format. `Some` requires open-loop arrivals: compatible
     /// queued requests merge into one batched Plan execution
-    /// ([`simulate_open_batched`] on the sim clock, the server's batch
-    /// former on the wall clock).
+    /// ([`crate::sim::simulate`]'s batch former on the sim clock, the
+    /// server's on the wall clock).
     pub batch: Option<BatchPolicy>,
     /// Measurement options (scale policy, CTA caps).
     pub opts: BenchOpts,
@@ -913,12 +912,6 @@ fn phase_totals(trace: &Trace) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// The modeled graph-load + pipeline-build cost charged on a cache miss in
-/// sim-clock mode: a flat dispatch term plus ~2 ms per accounted MiB.
-pub fn build_cost_ms(bytes: u64) -> f64 {
-    0.2 + bytes as f64 / (512.0 * 1024.0)
-}
-
 /// Profiles the distinct configurations of a stream (order-preserving
 /// parallel fan-out) into sim-mode cost records. Unreferenced universe
 /// entries get zero-cost placeholders that the simulation never touches.
@@ -933,8 +926,8 @@ pub fn build_cost_ms(bytes: u64) -> f64 {
 /// merged **pair** of itself: the two-point measurement splits its solo
 /// service time into the batch-invariant `fixed_ms = 2·alone − pair`
 /// and the per-member `marginal_ms = pair − alone` shares (clamped into
-/// `[0, alone]`, so `fixed + marginal == alone` exactly) that
-/// [`simulate_open_batched`] charges merged executions. Unbatched runs
+/// `[0, alone]`, so `fixed + marginal == alone` exactly) that the
+/// batched simulation charges merged executions. Unbatched runs
 /// skip the pair builds entirely and produce the historical costs.
 fn sim_costs(
     universe: &[ServeRequest],
@@ -1152,34 +1145,19 @@ fn run_sim(
         fault: spec.fault,
         resilience: spec.resilience,
     };
-    let arrivals;
-    let (outcome, trace) = if traced {
-        let (outcome, trace) = match (spec.arrival, spec.batch) {
-            (ArrivalMode::Closed { clients }, _) => {
-                simulate_closed_traced(keys, clients, &costs, params, &profiles)
+    let at_ms;
+    let arrivals = match spec.arrival {
+        ArrivalMode::Closed { clients } => Arrivals::Closed { clients },
+        ArrivalMode::Open { rate_rps } => {
+            at_ms = spec.arrivals(rate_rps);
+            Arrivals::Open {
+                at_ms: &at_ms,
+                batch: spec.batch,
             }
-            (ArrivalMode::Open { rate_rps }, None) => {
-                arrivals = spec.arrivals(rate_rps);
-                simulate_open_traced(keys, &arrivals, &costs, params, &profiles)
-            }
-            (ArrivalMode::Open { rate_rps }, Some(policy)) => {
-                arrivals = spec.arrivals(rate_rps);
-                simulate_open_batched_traced(keys, &arrivals, &costs, params, policy, &profiles)
-            }
-        };
-        (outcome, Some(trace))
-    } else {
-        let outcome = match (spec.arrival, spec.batch) {
-            (ArrivalMode::Closed { clients }, _) => simulate_closed(keys, clients, &costs, params),
-            (ArrivalMode::Open { rate_rps }, None) => {
-                simulate_open(keys, &spec.arrivals(rate_rps), &costs, params)
-            }
-            (ArrivalMode::Open { rate_rps }, Some(policy)) => {
-                simulate_open_batched(keys, &spec.arrivals(rate_rps), &costs, params, policy)
-            }
-        };
-        (outcome, None)
+        }
     };
+    let spans = traced.then_some(profiles.as_slice());
+    let (outcome, trace) = simulate(keys, arrivals, &costs, params, spans);
     let mut latencies = Vec::with_capacity(outcome.records.len());
     let (mut completed, mut errors) = (0u64, 0u64);
     for r in &outcome.records {
