@@ -1,6 +1,6 @@
 //! Benchmarks of pipeline construction, analytical profiling and cycle
-//! simulation — the throughput numbers that bound how fast the figure
-//! binaries can sweep — including the serial vs. parallel profiling paths.
+//! simulation — the throughput numbers that bound how fast the scenario
+//! grids can sweep — including the serial vs. parallel profiling paths.
 
 use gsuite_bench::microbench::Runner;
 use gsuite_core::config::{CompModel, GnnModel, RunConfig};

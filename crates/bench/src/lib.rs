@@ -1,35 +1,15 @@
 //! # gsuite-bench
 //!
-//! The experiment harness: the binaries that regenerate every table and
-//! figure of the paper's evaluation (Table II, Table IV, Figs. 3–9), plus
-//! micro-benchmarks of the core kernels.
+//! Micro-benchmarks of the engine itself — the core kernels, pipeline
+//! construction and profiling, and trace replay (`benches/`) — on the
+//! [`microbench`] harness. `scripts/bench.sh` records their results as a
+//! `BENCH_<tag>.json` trajectory.
 //!
-//! Since the scenario-engine refactor, each figure binary is a one-line
-//! delegation into the [`gsuite_scenarios::registry`] — the declarative
-//! grid spec + renderer registry that also backs
-//! `gsuite-cli run-scenario`. The sweep machinery the binaries (and the
-//! `ablations` study) share — [`BenchOpts`], [`sweep_config`],
-//! [`par_sweep`], formatting helpers — lives in `gsuite-scenarios` and is
-//! re-exported here unchanged.
-//!
-//! Every binary accepts:
-//!
-//! * `--quick` — tiny dataset scales and sampling caps (seconds; used by CI
-//!   and the smoke tests);
-//! * `--full`  — full Table IV scales everywhere (hours; memory-hungry);
-//! * `--csv DIR` — also write each emitted table as CSV into `DIR`.
-//!
-//! The default mode runs Cora/CiteSeer/PubMed at full size and
-//! Reddit/LiveJournal scaled down (documented per run in the output
-//! header), with CTA sampling in the cycle simulator — the standard
-//! methodology for keeping trace-driven simulation affordable
-//! (`EXPERIMENTS.md` §Methodology).
+//! The paper's tables and figures are registry scenarios
+//! ([`gsuite_scenarios::registry`]), run with
+//! `gsuite-cli run-scenario NAME [--quick|--full] [--csv DIR]`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod microbench;
-
-pub use gsuite_scenarios::{
-    gsuite_pairs, ms, par_sweep, pct, profile_pipeline, sweep_config, BenchOpts,
-};

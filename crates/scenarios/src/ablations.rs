@@ -1,5 +1,6 @@
-//! Ablation studies for the design points ARCHITECTURE.md calls out and the
-//! architectural suggestions the paper closes with (§V-D5/D6):
+//! The `ablations` scenario: the design points ARCHITECTURE.md calls out
+//! and the architectural suggestions the paper closes with (§V-D5/D6),
+//! each measured on the cycle simulator:
 //!
 //! 1. **L1 bypassing** — the paper: "using L1 cache bypassing techniques
 //!    can be considered" for GNN inference's cache-hostile gathers.
@@ -7,10 +8,11 @@
 //!    linear layers (CiteSeer's f = 3703).
 //! 3. **Edge ordering** — destination-sorted vs shuffled edge index:
 //!    the locality the MP kernels inherit from the loader.
+//!
+//! The grid is empty (like `table2`): the renderer builds its own kernels.
 
 use std::sync::Arc;
 
-use gsuite_bench::{ms, pct, BenchOpts};
 use gsuite_core::config::{CompModel, FrameworkKind, GnnModel, RunConfig};
 use gsuite_core::kernels::{KernelKind, ScatterKernel, SgemmKernel};
 use gsuite_core::pipeline::PipelineRun;
@@ -19,16 +21,38 @@ use gsuite_graph::datasets::Dataset;
 use gsuite_profile::{Profiler, SimProfiler, TextTable};
 use gsuite_tensor::ops::Reduce;
 
-fn main() {
-    let opts = BenchOpts::from_env();
-    opts.header("Ablations", "L1 bypass, split-K, edge ordering");
-    ablation_l1_bypass(&opts);
-    ablation_split_k(&opts);
-    ablation_edge_order(&opts);
+use crate::opts::{ms, pct, BenchOpts};
+use crate::report::Report;
+use crate::runner::ScenarioResult;
+use crate::spec::ScenarioSpec;
+
+pub(crate) fn spec_ablations() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "ablations",
+        title: "L1 bypass, split-K, edge ordering",
+        models: vec![],
+        datasets: vec![],
+        ..ScenarioSpec::default()
+    }
+}
+
+pub(crate) fn render_ablations(_result: &ScenarioResult, opts: &BenchOpts) -> Report {
+    let mut report = Report::new();
+    report.header("Ablations", "L1 bypass, split-K, edge ordering");
+    ablation_l1_bypass(&mut report, opts);
+    ablation_split_k(&mut report, opts);
+    ablation_edge_order(&mut report, opts);
+    report
+}
+
+/// The CTA sampling cap of an ablation simulation: 128 in quick mode,
+/// `default_cap` otherwise, tightened by [`BenchOpts::max_ctas_cap`].
+fn cta_cap(opts: &BenchOpts, default_cap: u64) -> u64 {
+    opts.cap_ctas(if opts.quick { 128 } else { default_cap })
 }
 
 /// GIN-MP gather/scatter kernels with and without L1 load bypassing.
-fn ablation_l1_bypass(opts: &BenchOpts) {
+fn ablation_l1_bypass(report: &mut Report, opts: &BenchOpts) {
     let cfg = RunConfig {
         model: GnnModel::Gin,
         comp: CompModel::Mp,
@@ -42,7 +66,7 @@ fn ablation_l1_bypass(opts: &BenchOpts) {
     };
     let graph = cfg.load_graph();
     let run = PipelineRun::build(&graph, &cfg).unwrap();
-    let max_ctas = if opts.quick { 128 } else { 1024 };
+    let max_ctas = cta_cap(opts, 1024);
     let sims = [
         ("L1 on", GpuConfig::v100_scaled(16)),
         ("L1 bypass", GpuConfig::v100_scaled(16).with_l1_bypass(true)),
@@ -70,15 +94,15 @@ fn ablation_l1_bypass(opts: &BenchOpts) {
             ]);
         }
     }
-    opts.emit(
+    report.table(
         "ablation_l1_bypass",
         "L1 bypassing on the GIN-MP gather/scatter kernels (paper §V-D5)",
-        &table,
+        table,
     );
 }
 
 /// sgemm over CiteSeer's tall-skinny first layer with varying K strips.
-fn ablation_split_k(opts: &BenchOpts) {
+fn ablation_split_k(report: &mut Report, opts: &BenchOpts) {
     let (m, k, n) = if opts.quick {
         (256usize, 1024usize, 16usize)
     } else {
@@ -90,7 +114,7 @@ fn ablation_split_k(opts: &BenchOpts) {
             k_strip: strip,
             ..SgemmKernel::new(m, k, n, 0x1000_0000, 0x2000_0000, 0x3000_0000)
         };
-        let sim = SimProfiler::scaled(16).max_ctas(Some(if opts.quick { 128 } else { 2048 }));
+        let sim = SimProfiler::scaled(16).max_ctas(Some(cta_cap(opts, 2048)));
         let stats = sim.profile(&kernel);
         table.row_owned(vec![
             strip.to_string(),
@@ -99,15 +123,15 @@ fn ablation_split_k(opts: &BenchOpts) {
             pct(stats.compute_utilization),
         ]);
     }
-    opts.emit(
+    report.table(
         "ablation_split_k",
-        &format!("split-K policy on a {m}x{k}x{n} sgemm (CiteSeer layer 1 shape)"),
-        &table,
+        format!("split-K policy on a {m}x{k}x{n} sgemm (CiteSeer layer 1 shape)"),
+        table,
     );
 }
 
 /// Scatter with destination-sorted vs shuffled edge order.
-fn ablation_edge_order(opts: &BenchOpts) {
+fn ablation_edge_order(report: &mut Report, opts: &BenchOpts) {
     let graph = Dataset::Cora.load_scaled(opts.scale_for(Dataset::Cora));
     let at = graph.adjacency_csr_transposed();
     let mut sorted: Vec<u32> = Vec::with_capacity(at.nnz());
@@ -138,7 +162,7 @@ fn ablation_edge_order(opts: &BenchOpts) {
             out_rows: graph.num_nodes(),
             reduce: Reduce::Sum,
         };
-        let sim = SimProfiler::scaled(16).max_ctas(Some(if opts.quick { 128 } else { 2048 }));
+        let sim = SimProfiler::scaled(16).max_ctas(Some(cta_cap(opts, 2048)));
         let stats = sim.profile(&kernel);
         table.row_owned(vec![
             label.to_string(),
@@ -147,9 +171,9 @@ fn ablation_edge_order(opts: &BenchOpts) {
             format!("{:.2}", stats.dram_bytes as f64 / 1e6),
         ]);
     }
-    opts.emit(
+    report.table(
         "ablation_edge_order",
         "scatter locality: destination-sorted vs shuffled edge index",
-        &table,
+        table,
     );
 }

@@ -10,8 +10,9 @@
 //! once, and fans the profiling grid across CPU cores with bit-identical,
 //! thread-count-independent results. The [`registry`] names one spec +
 //! renderer per paper figure (`fig3` … `fig9`, `table2`, `table4`) plus
-//! beyond-paper scenarios (`xmodels`, `gpusweep`), and every figure binary
-//! in `gsuite-bench` is a one-line delegation into it.
+//! beyond-paper scenarios (`xmodels`, `gpusweep`, `ablations`, …), and
+//! `gsuite-cli run-scenario` is the one launcher for all of them; it
+//! takes `--quick`, `--full` and `--csv DIR` among its flags.
 //!
 //! ```text
 //! gsuite-cli run-scenario --list          # what's in the registry
@@ -46,6 +47,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod ablations;
 mod cache;
 mod chaos;
 mod opts;
@@ -59,7 +61,7 @@ mod spec;
 pub mod trace;
 
 pub use cache::{ByteLru, LruStats};
-pub use opts::{gsuite_pairs, ms, par_sweep, pct, profile_pipeline, sweep_config, BenchOpts};
+pub use opts::{gsuite_pairs, ms, pct, profile_pipeline, sweep_config, BenchOpts};
 pub use report::{Report, ReportItem};
 pub use runner::{run_scenario, run_scenario_threads, CellOutcome, ScenarioResult};
 pub use sim::CacheDisposition;

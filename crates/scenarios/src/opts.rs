@@ -1,13 +1,13 @@
-//! Shared sweep options and helpers (formerly `gsuite_bench`'s top level):
-//! mode flags, the dataset scale policy, backend policies, and the
-//! fan-out/formatting primitives every figure renderer uses.
+//! Shared sweep options and helpers: mode flags, the dataset scale
+//! policy, backend policies, and the formatting primitives every figure
+//! renderer uses.
 
 use std::path::PathBuf;
 
 use gsuite_core::config::{CompModel, FrameworkKind, GnnModel, RunConfig};
 use gsuite_core::pipeline::PipelineRun;
 use gsuite_graph::datasets::Dataset;
-use gsuite_profile::{HwProfiler, PipelineProfile, Profiler, SimProfiler, TextTable};
+use gsuite_profile::{HwProfiler, PipelineProfile, Profiler, SimProfiler};
 
 /// Common figure/scenario options.
 #[derive(Debug, Clone, Default)]
@@ -66,8 +66,8 @@ impl BenchOpts {
     ///
     /// # Panics
     ///
-    /// Panics (with a usage message) on unknown flags, so figure binaries
-    /// fail fast rather than silently measuring the wrong thing.
+    /// Panics (with a usage message) on unknown flags, so a run fails
+    /// fast rather than silently measuring the wrong thing.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match Self::from_args(&args) {
@@ -76,7 +76,7 @@ impl BenchOpts {
         }
     }
 
-    /// Parses the figure-binary flags from an argument slice.
+    /// Parses `--quick`, `--full` and `--csv DIR` from an argument slice.
     ///
     /// # Errors
     ///
@@ -180,18 +180,6 @@ impl BenchOpts {
         2
     }
 
-    /// Emits a table: prints it and, with `--csv`, writes `<name>.csv`.
-    pub fn emit(&self, name: &str, title: &str, table: &TextTable) {
-        println!("## {title}\n");
-        println!("{}", table.render());
-        if let Some(dir) = &self.csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
-            let path = dir.join(format!("{name}.csv"));
-            gsuite_profile::write_csv(table, &path).expect("write csv");
-            println!("[csv] {}", path.display());
-        }
-    }
-
     /// The standard reproducibility header as a string (ends without a
     /// trailing newline; callers add spacing).
     pub fn header_text(&self, figure: &str, description: &str) -> String {
@@ -212,12 +200,6 @@ impl BenchOpts {
                 .map(|d| format!("{}={}", d.spec().short, self.scale_for(d)))
                 .join(" ")
         )
-    }
-
-    /// Prints the standard reproducibility header.
-    pub fn header(&self, figure: &str, description: &str) {
-        println!("{}", self.header_text(figure, description));
-        println!();
     }
 }
 
@@ -255,24 +237,6 @@ pub fn profile_pipeline(config: &RunConfig, profiler: &dyn Profiler) -> Pipeline
     let run = PipelineRun::build(&graph, config)
         .unwrap_or_else(|e| panic!("cannot build {}: {e}", config.label()));
     run.profile(profiler)
-}
-
-/// Runs `f` over every sweep point in parallel, returning results in input
-/// order — the figure binaries' fan-out primitive.
-///
-/// Every `(framework, model, dataset)` cell of a paper figure is an
-/// independent build+profile, so the sweep is embarrassingly parallel;
-/// input-order results keep table rows deterministic regardless of core
-/// count (`GSUITE_THREADS=1` forces a serial sweep). Cells that would be
-/// invalid combinations should be encoded by `f` returning a placeholder,
-/// not by panicking.
-pub fn par_sweep<C, R, F>(points: &[C], f: F) -> Vec<R>
-where
-    C: Sync,
-    R: Send,
-    F: Fn(&C) -> R + Sync,
-{
-    gsuite_par::par_map(points, |_, point| f(point))
 }
 
 /// The `(model, comp)` pairs gSuite provides (paper §V-A: SAGE is MP-only).

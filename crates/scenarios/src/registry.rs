@@ -2,9 +2,8 @@
 //! [`ScenarioSpec`] plus a renderer, and beyond-paper scenarios the
 //! original evaluation never ran.
 //!
-//! The figure binaries (`fig3` … `table4`) are one-line delegations into
-//! [`run_main`]; the CLI exposes the same registry as
-//! `gsuite-cli run-scenario <name>` / `--list` / `--filter`.
+//! The CLI exposes the registry as `gsuite-cli run-scenario <name>` /
+//! `--list` / `--filter`.
 
 use gsuite_core::config::{CompModel, FrameworkKind, GnnModel};
 use gsuite_core::OptLevel;
@@ -21,7 +20,7 @@ use crate::spec::{GpuSpec, ScenarioSpec};
 /// A registered scenario: a named grid spec plus its report renderer.
 #[derive(Debug, Clone, Copy)]
 pub struct Scenario {
-    /// Registry name (also the figure-binary name where one exists).
+    /// Registry name.
     pub name: &'static str,
     /// One-line description shown by `--list`.
     pub about: &'static str,
@@ -169,6 +168,12 @@ pub fn all() -> Vec<Scenario> {
             spec_fn: crate::servebatch::spec_servebatch,
             render_fn: crate::servebatch::render_servebatch,
         },
+        Scenario {
+            name: "ablations",
+            about: "beyond-paper: ablations of the paper's closing suggestions on the cycle simulator (L1 bypass, split-K GEMM, edge ordering)",
+            spec_fn: crate::ablations::spec_ablations,
+            render_fn: crate::ablations::render_ablations,
+        },
     ]
 }
 
@@ -304,23 +309,6 @@ pub fn scenario_docs(opts: &BenchOpts) -> String {
     }
     out.push_str("\nRegenerate with:\n\n```bash\ncargo run --release --bin gsuite-cli -- docs-scenarios --write\n```\n");
     out
-}
-
-/// Entry point of the figure binaries: parse the standard flags, run the
-/// named scenario, print its report (and CSVs with `--csv`).
-///
-/// # Panics
-///
-/// Panics on an unknown scenario name — figure binaries hard-code names
-/// the registry must contain.
-pub fn run_main(name: &str) {
-    let opts = BenchOpts::from_env();
-    let scenario = find(name).unwrap_or_else(|| {
-        let names: Vec<&str> = all().iter().map(|s| s.name).collect();
-        panic!("unknown scenario {name:?} (registry: {})", names.join(", "))
-    });
-    let (_result, report) = scenario.run(&opts);
-    report.emit(&opts);
 }
 
 fn na() -> String {

@@ -1,7 +1,7 @@
 //! Figure reports as data: renderers build a [`Report`] (header, tables,
-//! free-form note lines) and the harness either prints it — byte-identical
-//! to the historical per-figure binaries — or snapshots it for the
-//! golden-profile regression suite.
+//! free-form note lines) and the harness either prints it
+//! (`gsuite-cli run-scenario`) or snapshots it for the golden-profile
+//! regression suite.
 
 use gsuite_profile::TextTable;
 
@@ -28,6 +28,22 @@ pub enum ReportItem {
     },
     /// One verbatim output line (the figures' shape-check trailers).
     Note(String),
+}
+
+impl ReportItem {
+    /// The item's text: the header and each table end with a blank line.
+    fn render(&self, opts: &BenchOpts) -> String {
+        match self {
+            ReportItem::Header {
+                figure,
+                description,
+            } => format!("{}\n\n", opts.header_text(figure, description)),
+            ReportItem::Table { title, table, .. } => {
+                format!("## {title}\n\n{}\n", table.render())
+            }
+            ReportItem::Note(line) => format!("{line}\n"),
+        }
+    }
 }
 
 /// An ordered report — what one scenario prints.
@@ -65,46 +81,23 @@ impl Report {
         self.items.push(ReportItem::Note(line.into()));
     }
 
-    /// Renders the report to text exactly as the figure binaries print it
-    /// (without `[csv]` side-effect lines) — the golden-profile snapshot
-    /// format.
+    /// Renders the report to text exactly as `emit` prints it (without
+    /// `[csv]` side-effect lines) — the golden-profile snapshot format.
     pub fn render(&self, opts: &BenchOpts) -> String {
-        let mut out = String::new();
-        for item in &self.items {
-            match item {
-                ReportItem::Header {
-                    figure,
-                    description,
-                } => {
-                    out.push_str(&opts.header_text(figure, description));
-                    out.push_str("\n\n");
-                }
-                ReportItem::Table { title, table, .. } => {
-                    out.push_str(&format!("## {title}\n\n"));
-                    out.push_str(&table.render());
-                    out.push('\n');
-                }
-                ReportItem::Note(line) => {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-            }
-        }
-        out
+        self.items.iter().map(|item| item.render(opts)).collect()
     }
 
     /// Prints the report to stdout and, with `--csv`, writes each table as
-    /// `<name>.csv` (announcing each file on its own `[csv]` line, exactly
-    /// like the historical binaries).
+    /// `<name>.csv`, announcing each file on its own `[csv]` line after
+    /// the table.
     pub fn emit(&self, opts: &BenchOpts) {
         for item in &self.items {
-            match item {
-                ReportItem::Header {
-                    figure,
-                    description,
-                } => opts.header(figure, description),
-                ReportItem::Table { name, title, table } => opts.emit(name, title, table),
-                ReportItem::Note(line) => println!("{line}"),
+            print!("{}", item.render(opts));
+            if let (ReportItem::Table { name, table, .. }, Some(dir)) = (item, &opts.csv_dir) {
+                std::fs::create_dir_all(dir).expect("create csv dir");
+                let path = dir.join(format!("{name}.csv"));
+                gsuite_profile::write_csv(table, &path).expect("write csv");
+                println!("[csv] {}", path.display());
             }
         }
     }

@@ -115,6 +115,7 @@ fn golden_covers_every_registry_scenario() {
         "hetero",
         "chaos",
         "servebatch",
+        "ablations",
     ];
     let registered: Vec<&str> = registry::all().iter().map(|s| s.name).collect();
     assert_eq!(
@@ -152,6 +153,7 @@ golden_test!(
     golden_hetero,
     golden_chaos,
     golden_servebatch,
+    golden_ablations,
 );
 
 // Hyphenated registry names don't fit the identifier-derived macro above.
