@@ -30,7 +30,7 @@ use gsuite_core::plan::batchmerge::{merge_class, MergeClass};
 
 use crate::fault::{FaultPlan, ResilienceConfig};
 use crate::request::ServeRequest;
-use crate::server::{entry_bytes, Completion, ServeConfig, Server, SubmitError};
+use crate::server::{entry_bytes, Completion, ServeConfig, Server, ServerStats, SubmitError};
 use crate::sim::{
     build_cost_ms, simulate, Arrivals, BatchPolicy, SimBatch, SimCosts, SimDisposition, SimParams,
     SpanProfile,
@@ -361,6 +361,21 @@ pub struct ResilienceSummary {
     pub degraded: u64,
     /// Stale-but-valid cache serves past the soft TTL.
     pub stale_serves: u64,
+}
+
+impl ResilienceSummary {
+    /// The resilience counters of a live server's snapshot.
+    pub(crate) fn of(stats: &ServerStats) -> Self {
+        ResilienceSummary {
+            retries: stats.retries,
+            timeouts: stats.timeouts,
+            crashed: stats.crashed,
+            breaker_trips: stats.breaker_trips,
+            circuit_open: stats.breaker_shed,
+            degraded: stats.degraded,
+            stale_serves: stats.stale_serves,
+        }
+    }
 }
 
 /// Cross-request batching counters of one load-generation run. Present
@@ -1406,15 +1421,7 @@ fn run_wall(
     );
     report.tpl_hits = stats.tpl_hits;
     report.tpl_misses = stats.tpl_misses;
-    report.resilience = ResilienceSummary {
-        retries: stats.retries,
-        timeouts: stats.timeouts,
-        crashed: stats.crashed,
-        breaker_trips: stats.breaker_trips,
-        circuit_open: stats.breaker_shed,
-        degraded: stats.degraded,
-        stale_serves: stats.stale_serves,
-    };
+    report.resilience = ResilienceSummary::of(&stats);
     if spec.batch.is_some() {
         // The wall server does not keep a per-size histogram; the
         // summary's average still falls out of the two counters.

@@ -34,7 +34,7 @@ use gsuite_scenarios::LruStats;
 
 use crate::loadgen::{ArrivalMode, LoadReport, LoadSpec, ResilienceSummary, Step};
 use crate::request::ServeRequest;
-use crate::server::{ServeConfig, Server};
+use crate::server::{ServeConfig, Server, ServerStats};
 
 /// Binds `host:port` (port `0` picks an ephemeral port), announces
 /// `gsuite-serve listening on <addr>` on stdout and serves connections
@@ -274,98 +274,46 @@ impl ProtocolClient {
     }
 }
 
-/// Parses a `key=value` integer field out of a response/stats line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    line.split_whitespace()
-        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
+/// Samples the server's counters: one `stats` round trip.
+///
+/// # Errors
+///
+/// I/O failures, and a reply that is not a `stats` line — a peer that
+/// does not speak the protocol must not read as all-zero counters.
+fn sample_stats(client: &mut ProtocolClient) -> Result<ServerStats, String> {
+    let reply = client
+        .round_trip("stats")
+        .map_err(|e| format!("stats round-trip failed: {e}"))?;
+    ServerStats::parse_line(&reply)
+        .ok_or_else(|| format!("the server answered `stats` with {reply:?}, not a stats line"))
 }
 
-/// The server counters a `stats` line carries, as sampled at one instant.
-struct StatsSample {
-    cache: LruStats,
-    coalesced: u64,
-    rejected: u64,
-    resilience: ResilienceSummary,
-}
-
-impl StatsSample {
-    fn parse(line: &str) -> StatsSample {
-        StatsSample {
-            cache: LruStats {
-                hits: field_u64(line, "cache_hits").unwrap_or(0),
-                misses: field_u64(line, "cache_misses").unwrap_or(0),
-                insertions: field_u64(line, "cache_insertions").unwrap_or(0),
-                evictions: field_u64(line, "cache_evictions").unwrap_or(0),
-                rejected: field_u64(line, "cache_rejected").unwrap_or(0),
-                bytes_in_use: field_u64(line, "cache_bytes").unwrap_or(0),
-                capacity_bytes: field_u64(line, "cache_capacity").unwrap_or(0),
-                entries: field_u64(line, "cache_entries").unwrap_or(0) as usize,
-            },
-            coalesced: field_u64(line, "coalesced").unwrap_or(0),
-            rejected: field_u64(line, "rejected").unwrap_or(0),
-            resilience: ResilienceSummary {
-                retries: field_u64(line, "retries").unwrap_or(0),
-                timeouts: field_u64(line, "timeouts").unwrap_or(0),
-                crashed: field_u64(line, "crashed").unwrap_or(0),
-                breaker_trips: field_u64(line, "breaker_trips").unwrap_or(0),
-                circuit_open: field_u64(line, "breaker_shed").unwrap_or(0),
-                degraded: field_u64(line, "degraded").unwrap_or(0),
-                stale_serves: field_u64(line, "stale_serves").unwrap_or(0),
-            },
-        }
-    }
-
-    /// The counter deltas accrued between `before` and `self`, keeping
-    /// point-in-time values (bytes, capacity, entries) from `self` — the
-    /// per-run view against a possibly long-running server.
-    fn since(&self, before: &StatsSample) -> StatsSample {
-        StatsSample {
-            cache: LruStats {
-                hits: self.cache.hits.saturating_sub(before.cache.hits),
-                misses: self.cache.misses.saturating_sub(before.cache.misses),
-                insertions: self
-                    .cache
-                    .insertions
-                    .saturating_sub(before.cache.insertions),
-                evictions: self.cache.evictions.saturating_sub(before.cache.evictions),
-                rejected: self.cache.rejected.saturating_sub(before.cache.rejected),
-                bytes_in_use: self.cache.bytes_in_use,
-                capacity_bytes: self.cache.capacity_bytes,
-                entries: self.cache.entries,
-            },
-            coalesced: self.coalesced.saturating_sub(before.coalesced),
-            rejected: self.rejected.saturating_sub(before.rejected),
-            resilience: ResilienceSummary {
-                retries: self
-                    .resilience
-                    .retries
-                    .saturating_sub(before.resilience.retries),
-                timeouts: self
-                    .resilience
-                    .timeouts
-                    .saturating_sub(before.resilience.timeouts),
-                crashed: self
-                    .resilience
-                    .crashed
-                    .saturating_sub(before.resilience.crashed),
-                breaker_trips: self
-                    .resilience
-                    .breaker_trips
-                    .saturating_sub(before.resilience.breaker_trips),
-                circuit_open: self
-                    .resilience
-                    .circuit_open
-                    .saturating_sub(before.resilience.circuit_open),
-                degraded: self
-                    .resilience
-                    .degraded
-                    .saturating_sub(before.resilience.degraded),
-                stale_serves: self
-                    .resilience
-                    .stale_serves
-                    .saturating_sub(before.resilience.stale_serves),
-            },
-        }
+/// The per-run view of the counters a TCP loadgen report carries — the
+/// cache, coalescing, shedding and resilience counters — against a
+/// possibly long-running server: deltas accrued between `before` and
+/// `after`, with point-in-time cache occupancy (bytes, capacity,
+/// entries) from `after`. Every other field is `after`'s as sampled.
+fn stats_since(after: &ServerStats, before: &ServerStats) -> ServerStats {
+    let d = |now: u64, then: u64| now.saturating_sub(then);
+    ServerStats {
+        coalesced: d(after.coalesced, before.coalesced),
+        rejected: d(after.rejected, before.rejected),
+        retries: d(after.retries, before.retries),
+        timeouts: d(after.timeouts, before.timeouts),
+        crashed: d(after.crashed, before.crashed),
+        breaker_trips: d(after.breaker_trips, before.breaker_trips),
+        breaker_shed: d(after.breaker_shed, before.breaker_shed),
+        degraded: d(after.degraded, before.degraded),
+        stale_serves: d(after.stale_serves, before.stale_serves),
+        cache: LruStats {
+            hits: d(after.cache.hits, before.cache.hits),
+            misses: d(after.cache.misses, before.cache.misses),
+            insertions: d(after.cache.insertions, before.cache.insertions),
+            evictions: d(after.cache.evictions, before.cache.evictions),
+            rejected: d(after.cache.rejected, before.cache.rejected),
+            ..after.cache
+        },
+        ..*after
     }
 }
 
@@ -393,11 +341,7 @@ pub fn loadgen_tcp(addr: &str, spec: &LoadSpec, stop_server: bool) -> Result<Loa
     // not the server's lifetime.
     let mut stats_client =
         ProtocolClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let before = StatsSample::parse(
-        &stats_client
-            .round_trip("stats")
-            .map_err(|e| format!("stats round-trip failed: {e}"))?,
-    );
+    let before = sample_stats(&mut stats_client)?;
 
     let t0 = Instant::now();
     let results = crate::loadgen::drive_closed_loop(
@@ -422,12 +366,7 @@ pub fn loadgen_tcp(addr: &str, spec: &LoadSpec, stop_server: bool) -> Result<Loa
     let makespan_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Re-sample and diff: this run's counters, then optionally stop it.
-    let after = StatsSample::parse(
-        &stats_client
-            .round_trip("stats")
-            .map_err(|e| format!("stats round-trip failed: {e}"))?,
-    );
-    let run_stats = after.since(&before);
+    let run_stats = stats_since(&sample_stats(&mut stats_client)?, &before);
     if stop_server {
         let _ = stats_client.round_trip("shutdown");
     }
@@ -446,7 +385,7 @@ pub fn loadgen_tcp(addr: &str, spec: &LoadSpec, stop_server: bool) -> Result<Loa
         makespan_ms,
         latencies,
     );
-    report.resilience = run_stats.resilience;
+    report.resilience = ResilienceSummary::of(&run_stats);
     Ok(report)
 }
 
@@ -454,26 +393,34 @@ pub fn loadgen_tcp(addr: &str, spec: &LoadSpec, stop_server: bool) -> Result<Loa
 mod tests {
     use super::*;
 
+    fn parse(line: &str) -> ServerStats {
+        ServerStats::parse_line(line).expect("a stats line")
+    }
+
     #[test]
     fn field_parsing_handles_missing_keys() {
-        let line = "stats workers=4 cache_hits=17 cache_misses=3";
-        assert_eq!(field_u64(line, "cache_hits"), Some(17));
-        assert_eq!(field_u64(line, "workers"), Some(4));
-        assert_eq!(field_u64(line, "cache"), None);
-        assert_eq!(field_u64(line, "nope"), None);
+        let stats = parse("stats workers=4 cache_hits=17 cache_misses=3 cache_rejected=2");
+        assert_eq!(stats.cache.hits, 17);
+        assert_eq!(stats.workers, 4);
+        // Keys match whole: `cache_rejected` is not `rejected`.
+        assert_eq!(stats.cache.rejected, 2);
+        assert_eq!(stats.rejected, 0);
+        // Missing keys read as 0.
+        assert_eq!(stats.cache.evictions, 0);
+        assert_eq!(stats.retries, 0);
     }
 
     #[test]
     fn stats_diff_is_per_run() {
-        let before = StatsSample::parse(
+        let before = parse(
             "stats coalesced=5 rejected=1 cache_hits=100 cache_misses=20 cache_insertions=20 \
              cache_evictions=3 cache_rejected=0 cache_bytes=500 cache_capacity=1000 cache_entries=4",
         );
-        let after = StatsSample::parse(
+        let after = parse(
             "stats coalesced=9 rejected=1 cache_hits=130 cache_misses=25 cache_insertions=24 \
              cache_evictions=3 cache_rejected=1 cache_bytes=700 cache_capacity=1000 cache_entries=6",
         );
-        let run = after.since(&before);
+        let run = stats_since(&after, &before);
         assert_eq!(run.cache.hits, 30);
         assert_eq!(run.cache.misses, 5);
         assert_eq!(run.cache.insertions, 4);
@@ -485,5 +432,30 @@ mod tests {
         assert_eq!(run.cache.bytes_in_use, 700);
         assert_eq!(run.cache.capacity_bytes, 1000);
         assert_eq!(run.cache.entries, 6);
+    }
+
+    #[test]
+    fn non_stats_replies_fail_the_run() {
+        // A peer that answers `stats` with something else: the run must
+        // fail rather than report all-zero server counters.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream;
+            let mut line = String::new();
+            while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                writeln!(writer, "ok id=0").expect("reply");
+                line.clear();
+            }
+        });
+        let spec = LoadSpec {
+            requests: 1,
+            ..LoadSpec::default()
+        };
+        let err = loadgen_tcp(&addr, &spec, false).expect_err("not a stats line");
+        assert!(err.contains("not a stats line"), "{err}");
+        peer.join().expect("peer thread");
     }
 }
