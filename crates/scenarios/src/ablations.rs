@@ -65,7 +65,7 @@ fn ablation_l1_bypass(report: &mut Report, opts: &BenchOpts) {
         ..RunConfig::default()
     };
     let graph = cfg.load_graph();
-    let run = PipelineRun::build(&graph, &cfg).unwrap();
+    let run = PipelineRun::build(&graph, &cfg).expect("GIN-MP builds on every dataset");
     let max_ctas = cta_cap(opts, 1024);
     let sims = [
         ("L1 on", GpuConfig::v100_scaled(16)),

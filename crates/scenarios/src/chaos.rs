@@ -156,8 +156,7 @@ pub(crate) fn render_chaos(result: &ScenarioResult, _opts: &BenchOpts) -> Report
 
     // One fixed request stream shared by every sweep row: uniformly
     // sampled configs, open-loop arrivals at ~70% of healthy capacity
-    // with jittered gaps (pure arithmetic — no transcendentals — so the
-    // report is bit-stable across hosts).
+    // with jittered gaps.
     let healthy: Vec<&SimCosts> = costs.iter().filter(|c| c.error.is_none()).collect();
     let mean_service =
         healthy.iter().map(|c| c.service_ms).sum::<f64>() / healthy.len().max(1) as f64;

@@ -206,14 +206,8 @@ fn replay(costs: &[SimCosts], rate_rps: f64, policy: BatchPolicy) -> SimOutcome 
         at_ms: &arrivals,
         batch: Some(policy),
     };
-    simulate(
-        &keys,
-        at,
-        costs,
-        SimParams::new(WORKERS, QUEUE_CAP, 1),
-        None,
-    )
-    .0
+    let params = SimParams::new(WORKERS, QUEUE_CAP, 1);
+    simulate(&keys, at, costs, params, None).0
 }
 
 pub(crate) fn render_servebatch(result: &ScenarioResult, opts: &BenchOpts) -> Report {
