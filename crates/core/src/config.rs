@@ -389,10 +389,22 @@ impl RunConfig {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`RunConfig::apply`], plus
-    /// [`CoreError::InvalidConfig`] for malformed flags.
+    /// Same conditions as [`RunConfig::apply_args`].
     pub fn from_args<S: AsRef<str>>(args: &[S]) -> Result<RunConfig> {
         let mut config = RunConfig::default();
+        config.apply_args(args)?;
+        Ok(config)
+    }
+
+    /// Applies CLI-style arguments (`--key value` or `--key=value`) in
+    /// order, through the same key table as [`RunConfig::apply`] — so
+    /// flags override whatever a defaults file set before them.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RunConfig::apply`], plus
+    /// [`CoreError::InvalidConfig`] for malformed flags.
+    pub fn apply_args<S: AsRef<str>>(&mut self, args: &[S]) -> Result<()> {
         let mut i = 0;
         while i < args.len() {
             let arg = args[i].as_ref();
@@ -404,7 +416,7 @@ impl RunConfig {
                 });
             };
             if let Some((key, value)) = flag.split_once('=') {
-                config.apply(key, value)?;
+                self.apply(key, value)?;
                 i += 1;
             } else {
                 let value = args.get(i + 1).map(|s| s.as_ref()).ok_or_else(|| {
@@ -414,11 +426,11 @@ impl RunConfig {
                         expected: "a value after the flag".to_string(),
                     }
                 })?;
-                config.apply(flag, value)?;
+                self.apply(flag, value)?;
                 i += 2;
             }
         }
-        Ok(config)
+        Ok(())
     }
 }
 
@@ -449,6 +461,20 @@ mod tests {
         assert_eq!(c.model, GnnModel::Gin);
         assert_eq!(c.layers, 3);
         assert_eq!(c.dataset, Dataset::PubMed);
+    }
+
+    #[test]
+    fn flags_override_file_defaults() {
+        let mut c = RunConfig::default();
+        c.apply_file("dataset = citeseer\nscale = 0.05\nhidden = 8\n")
+            .unwrap();
+        c.apply_args(&["--scale", "0.03", "--model=gin"]).unwrap();
+        assert_eq!(c.dataset, Dataset::CiteSeer);
+        assert_eq!(c.scale, 0.03);
+        assert_eq!(c.hidden, 8);
+        assert_eq!(c.model, GnnModel::Gin);
+        let err = c.apply_args(&["--hidden", "0"]).unwrap_err();
+        assert!(err.to_string().contains("hidden"), "{err}");
     }
 
     #[test]

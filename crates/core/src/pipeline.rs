@@ -55,7 +55,7 @@ impl CompilePhases {
 
     /// The phases a plan template skips: lowering, optimization and
     /// decoration. A warmed serving worker drives this to ~0 on
-    /// repeat-shape mixes (`scripts/serve_smoke.sh` asserts it).
+    /// repeat-shape mixes (`tests/golden.rs` asserts it on the sim clock).
     pub fn full_compile_ms(&self) -> f64 {
         self.lower_ms + self.optimize_ms + self.decorate_ms
     }

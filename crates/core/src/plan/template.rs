@@ -94,7 +94,7 @@ impl TemplateKey {
 
     /// The template key of one cross-request merged ego-net batch (see
     /// [`crate::plan::batchmerge`]): the members' shared compile shape
-    /// with the seed nodes folded into [`TemplateKey::merged_seeds`] in
+    /// with the seed nodes folded into `TemplateKey::merged_seeds` in
     /// batch order. `None` when the members are not a homogeneous
     /// sampled merge — full-graph merges may mix models, so their
     /// combined plans are not worth a template slot.

@@ -8,21 +8,18 @@
 //! Entries larger than the whole capacity are rejected (and counted)
 //! rather than thrashing the cache.
 //!
-//! The implementation is a slab of slots threaded by an intrusive
-//! doubly-linked recency list (LRU at the head, MRU at the tail) plus a
-//! key-hash → slot index, so `get`/`contains`/`insert` resolve a key in
-//! `O(1)` instead of scanning the recency order. Keys only need
-//! `PartialEq + Hash` (not `Eq`): the index buckets by hash and resolves
-//! collisions with `PartialEq`, which keeps float-bearing keys (the
-//! serving layer's request configurations carry an `f64` scale) usable
-//! without pretending they are `Eq`. The LRU semantics — promotion on
-//! hit, replacement releasing bytes, front-first eviction — are exactly
-//! the historical ordered-`Vec` behavior, locked by the property-test
-//! suite against a brute-force oracle.
-
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+//! The entries live in one `Vec` in least- to most-recently-used order:
+//! a lookup scans it, a hit moves the entry to the back, and eviction
+//! drops from the front. The scan is sized to the traffic. The
+//! discrete-event simulator holds at most one entry per distinct
+//! configuration (60 for the largest registry grid), and a 32 MiB server
+//! shard holds at most ~1,700 of the smallest entries the serving layer
+//! builds (19,320 bytes). Keys only need `PartialEq` (not `Eq` or
+//! `Hash`), which keeps float-bearing keys (the serving layer's request
+//! configurations carry an `f64` scale) usable without pretending they
+//! are `Eq`. The property tests in `tests/serve.rs` lock the semantics —
+//! promotion on hit, replacement releasing bytes, front-first eviction —
+//! against a brute-force oracle.
 
 /// A snapshot of the cache's accounting counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -57,20 +54,12 @@ impl LruStats {
     }
 }
 
-/// Linked-list sentinel ("no slot").
-const NIL: usize = usize::MAX;
-
-/// One occupied cache slot: the entry plus its recency-list links and the
-/// key's cached hash (so removal finds its index bucket without
-/// re-hashing).
+/// One cached entry and its accounted byte cost.
 #[derive(Debug, Clone)]
-struct Slot<K, V> {
+struct Entry<K, V> {
     key: K,
     value: V,
     bytes: u64,
-    hash: u64,
-    prev: usize,
-    next: usize,
 }
 
 /// A byte-accounted LRU map from `K` to `V`.
@@ -90,17 +79,8 @@ struct Slot<K, V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ByteLru<K, V> {
-    /// Slot slab; `None` slots are free and listed in `free`.
-    slots: Vec<Option<Slot<K, V>>>,
-    /// Free slot ids available for reuse.
-    free: Vec<usize>,
-    /// Key-hash → occupied slot ids; collisions resolved by `PartialEq`.
-    index: HashMap<u64, Vec<usize>>,
-    /// LRU end of the recency list (next eviction victim).
-    head: usize,
-    /// MRU end of the recency list.
-    tail: usize,
-    len: usize,
+    /// Live entries, least-recently-used first (the next eviction victim).
+    entries: Vec<Entry<K, V>>,
     capacity: u64,
     used: u64,
     hits: u64,
@@ -110,22 +90,11 @@ pub struct ByteLru<K, V> {
     rejected: u64,
 }
 
-fn hash_of<K: Hash>(key: &K) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-impl<K: PartialEq + Hash, V> ByteLru<K, V> {
+impl<K: PartialEq, V> ByteLru<K, V> {
     /// An empty cache holding at most `capacity_bytes` of accounted entries.
     pub fn new(capacity_bytes: u64) -> Self {
         ByteLru {
-            slots: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
+            entries: Vec::new(),
             capacity: capacity_bytes,
             used: 0,
             hits: 0,
@@ -136,84 +105,25 @@ impl<K: PartialEq + Hash, V> ByteLru<K, V> {
         }
     }
 
-    /// The slot holding `key`, via the hash index.
-    fn find(&self, key: &K) -> Option<usize> {
-        let bucket = self.index.get(&hash_of(key))?;
-        bucket
-            .iter()
-            .copied()
-            .find(|&i| self.slots[i].as_ref().is_some_and(|s| s.key == *key))
-    }
-
-    /// Unlinks slot `i` from the recency list (it stays in the slab).
-    fn detach(&mut self, i: usize) {
-        let (prev, next) = {
-            let s = self.slots[i].as_ref().expect("detach of live slot");
-            (s.prev, s.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].as_mut().expect("live prev").next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].as_mut().expect("live next").prev = prev,
-        }
-    }
-
-    /// Links slot `i` at the MRU end of the recency list.
-    fn attach_mru(&mut self, i: usize) {
-        let old_tail = self.tail;
-        {
-            let s = self.slots[i].as_mut().expect("attach of live slot");
-            s.prev = old_tail;
-            s.next = NIL;
-        }
-        match old_tail {
-            NIL => self.head = i,
-            t => self.slots[t].as_mut().expect("live tail").next = i,
-        }
-        self.tail = i;
-    }
-
-    /// Removes slot `i` entirely: recency list, index bucket, slab.
-    /// Returns the released byte count.
-    fn remove_slot(&mut self, i: usize) -> u64 {
-        self.detach(i);
-        let slot = self.slots[i].take().expect("removal of live slot");
-        let bucket = self
-            .index
-            .get_mut(&slot.hash)
-            .expect("indexed slot has a bucket");
-        bucket.retain(|&id| id != i);
-        if bucket.is_empty() {
-            self.index.remove(&slot.hash);
-        }
-        self.free.push(i);
-        self.len -= 1;
-        slot.bytes
+    fn position(&self, key: &K) -> Option<usize> {
+        self.entries.iter().position(|e| e.key == *key)
     }
 
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     /// Counts a hit or a miss.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.find(key) {
-            Some(i) => {
-                self.hits += 1;
-                self.detach(i);
-                self.attach_mru(i);
-                self.slots[i].as_ref().map(|s| &s.value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let Some(i) = self.position(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.entries[i..].rotate_left(1);
+        self.entries.last().map(|e| &e.value)
     }
 
     /// Whether `key` is cached, without touching recency or counters.
     pub fn contains(&self, key: &K) -> bool {
-        self.find(key).is_some()
+        self.position(key).is_some()
     }
 
     /// Inserts `key -> value` accounted at `bytes`, evicting from the LRU
@@ -225,36 +135,13 @@ impl<K: PartialEq + Hash, V> ByteLru<K, V> {
             self.rejected += 1;
             return false;
         }
-        if let Some(i) = self.find(&key) {
-            self.used -= self.remove_slot(i);
+        if let Some(i) = self.position(&key) {
+            self.used -= self.entries.remove(i).bytes;
         }
         while self.used + bytes > self.capacity {
-            let victim = self.head;
-            self.used -= self.remove_slot(victim);
-            self.evictions += 1;
+            self.evict_lru(1);
         }
-        let hash = hash_of(&key);
-        let slot = Slot {
-            key,
-            value,
-            bytes,
-            hash,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(slot);
-                i
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
-        };
-        self.index.entry(hash).or_default().push(i);
-        self.attach_mru(i);
-        self.len += 1;
+        self.entries.push(Entry { key, value, bytes });
         self.used += bytes;
         self.insertions += 1;
         true
@@ -265,23 +152,22 @@ impl<K: PartialEq + Hash, V> ByteLru<K, V> {
     /// "eviction storm" (cache poisoning) primitive. Returns how many
     /// entries were actually dropped.
     pub fn evict_lru(&mut self, n: usize) -> usize {
-        let drop = n.min(self.len);
-        for _ in 0..drop {
-            let victim = self.head;
-            self.used -= self.remove_slot(victim);
-            self.evictions += 1;
+        let drop = n.min(self.entries.len());
+        for entry in self.entries.drain(..drop) {
+            self.used -= entry.bytes;
         }
+        self.evictions += drop as u64;
         drop
     }
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Bytes currently accounted to live entries.
@@ -292,14 +178,7 @@ impl<K: PartialEq + Hash, V> ByteLru<K, V> {
     /// The keys in LRU-to-MRU order (front of the iterator is the next
     /// eviction victim) — the property-test observability hook.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
-        let mut ordered = Vec::with_capacity(self.len);
-        let mut i = self.head;
-        while i != NIL {
-            let s = self.slots[i].as_ref().expect("recency list is live");
-            ordered.push(&s.key);
-            i = s.next;
-        }
-        ordered.into_iter()
+        self.entries.iter().map(|e| &e.key)
     }
 
     /// The current counter snapshot.
@@ -312,7 +191,7 @@ impl<K: PartialEq + Hash, V> ByteLru<K, V> {
             rejected: self.rejected,
             bytes_in_use: self.used,
             capacity_bytes: self.capacity,
-            entries: self.len,
+            entries: self.entries.len(),
         }
     }
 }
@@ -388,8 +267,8 @@ mod tests {
         assert_eq!(c.stats().rejected, 1);
     }
 
-    /// Freed slab slots are reused, so long-lived caches under churn do
-    /// not grow their slab beyond the peak live entry count.
+    /// Under churn the cache holds at most what its bytes allow, and
+    /// every displaced entry counts as one eviction.
     #[test]
     fn slab_slots_are_recycled_under_churn() {
         let mut c: ByteLru<u32, u32> = ByteLru::new(20);
@@ -397,11 +276,12 @@ mod tests {
             c.insert(round, round, 10);
             assert!(c.len() <= 2);
         }
-        assert!(c.slots.len() <= 3, "slab grew to {}", c.slots.len());
+        assert_eq!(c.keys().copied().collect::<Vec<_>>(), vec![48, 49]);
+        assert_eq!(c.bytes_in_use(), 20);
         assert_eq!(c.stats().evictions, 48);
     }
 
-    /// Hash-colliding keys resolve by equality, not by hash alone.
+    /// Every key resolves to its own entry, however many are cached.
     #[test]
     fn distinct_keys_never_alias() {
         let mut c: ByteLru<u64, u64> = ByteLru::new(u64::MAX);

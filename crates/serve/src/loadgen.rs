@@ -107,8 +107,12 @@ pub struct LoadSpec {
     /// Seeded fault injection plan; `None` (the default) injects nothing
     /// and leaves every report byte-identical to the pre-fault format.
     pub fault: Option<FaultPlan>,
-    /// Resilience policy applied by the service (sim and wall clocks
-    /// share the same policy engine). Default: fully inert.
+    /// Resilience policy applied by the service. Default: fully inert.
+    /// The sim and wall clocks share the policy types, but each clock
+    /// applies its own copy of the rules, and some differ: when a stale
+    /// entry is served, whether a refresh reports a hit, when the O0
+    /// fallback runs, the backoff jitter, whether a cancelled attempt
+    /// counts against the breaker, and what deadline pressure means.
     pub resilience: ResilienceConfig,
     /// Cross-request batching policy. `None` (the default) serves every
     /// request alone and keeps all reports byte-identical to the
@@ -171,44 +175,28 @@ impl LoadSpec {
         Ok(cells.iter().map(ServeRequest::from_cell).collect())
     }
 
-    /// The seeded request stream as a **lazy** iterator: `requests`
-    /// indices into a universe of `universe_len` configurations, sampled
-    /// uniformly with replacement. The iterator carries only the RNG
-    /// state — `O(1)` memory regardless of stream length — so
-    /// million-request mixes never materialize a key vector just to be
-    /// walked once.
-    pub fn key_stream(&self, universe_len: usize) -> KeyStream {
-        KeyStream {
-            rng: SmallRng::seed_from_u64(self.seed),
-            universe_len,
-            remaining: self.requests,
-        }
-    }
-
-    /// The seeded request stream, collected ([`LoadSpec::key_stream`] is
-    /// the single source of truth; this is its eager form).
+    /// The seeded request stream: `requests` indices into a universe of
+    /// `universe_len` configurations, sampled uniformly with replacement.
     pub fn sample_keys(&self, universe_len: usize) -> Vec<usize> {
-        self.key_stream(universe_len).collect()
+        let mut rng = SmallRng::seed_from_u64(self.seed);
+        (0..self.requests)
+            .map(|_| rng.gen_range(0..universe_len))
+            .collect()
     }
 
-    /// Seeded open-loop arrival times (ms, nondecreasing) as a **lazy**
-    /// iterator: exponential inter-arrivals at `rate_rps`, `O(1)` memory.
-    /// Decoupled from the sampling stream so the same seed yields the
-    /// same mix under both arrival modes.
-    pub fn arrival_stream(&self, rate_rps: f64) -> ArrivalStream {
-        ArrivalStream {
-            rng: SmallRng::seed_from_u64(self.seed ^ 0xA5A5_5A5A_1234_5678),
-            rate_rps,
-            t: 0.0,
-            remaining: self.requests,
-        }
-    }
-
-    /// Seeded open-loop arrival times, collected
-    /// ([`LoadSpec::arrival_stream`] is the single source of truth; this
-    /// is its eager form).
+    /// Seeded open-loop arrival times (ms, nondecreasing): exponential
+    /// inter-arrivals at `rate_rps`. Decoupled from the sampling stream
+    /// so the same seed yields the same mix under both arrival modes.
     pub fn arrivals(&self, rate_rps: f64) -> Vec<f64> {
-        self.arrival_stream(rate_rps).collect()
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xA5A5_5A5A_1234_5678);
+        let mut t = 0.0;
+        (0..self.requests)
+            .map(|_| {
+                let u: f64 = rng.gen();
+                t += -(1.0 - u).ln() / rate_rps.max(1e-9) * 1e3;
+                t
+            })
+            .collect()
     }
 
     fn effective_threads(&self) -> usize {
@@ -219,65 +207,6 @@ impl LoadSpec {
         }
     }
 }
-
-/// Lazy seeded key stream — see [`LoadSpec::key_stream`]. Holds only
-/// the RNG and a countdown; its memory footprint is independent of the
-/// stream length.
-#[derive(Debug, Clone)]
-pub struct KeyStream {
-    rng: SmallRng,
-    universe_len: usize,
-    remaining: usize,
-}
-
-impl Iterator for KeyStream {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.rng.gen_range(0..self.universe_len))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for KeyStream {}
-
-/// Lazy seeded open-loop arrival stream — see
-/// [`LoadSpec::arrival_stream`]. Yields nondecreasing milliseconds;
-/// `O(1)` memory.
-#[derive(Debug, Clone)]
-pub struct ArrivalStream {
-    rng: SmallRng,
-    rate_rps: f64,
-    t: f64,
-    remaining: usize,
-}
-
-impl Iterator for ArrivalStream {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let u: f64 = self.rng.gen();
-        self.t += -(1.0 - u).ln() / self.rate_rps.max(1e-9) * 1e3;
-        Some(self.t)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for ArrivalStream {}
 
 /// Latency percentile summary in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -1367,11 +1296,9 @@ fn run_wall(
             .expect("in-process setup is infallible");
         }
         ArrivalMode::Open { rate_rps } => {
-            // One dispatcher pacing seeded arrivals, streamed lazily (the
-            // schedule is O(1) memory however long the run is); a full
-            // queue sheds.
+            // One dispatcher pacing seeded arrivals; a full queue sheds.
             let mut pending = Vec::new();
-            for (i, at_ms) in spec.arrival_stream(rate_rps).enumerate() {
+            for (i, at_ms) in spec.arrivals(rate_rps).into_iter().enumerate() {
                 let due = std::time::Duration::from_secs_f64(at_ms / 1e3);
                 if let Some(sleep) = due.checked_sub(t0.elapsed()) {
                     std::thread::sleep(sleep);
@@ -1560,17 +1487,14 @@ mod tests {
         assert_eq!(arr, spec.arrivals(500.0));
     }
 
-    /// The lazy streams are the single source of truth for the seeded
-    /// mix: they must reproduce the historical eager generation bit for
-    /// bit (the serve goldens depend on it) while carrying only RNG
-    /// state — no buffer that grows with the request count.
+    /// The seeded mix must match the inline reference generators bit
+    /// for bit (the serve goldens depend on it).
     #[test]
     fn streams_match_eager_reference_with_constant_memory() {
         let spec = LoadSpec {
             requests: 257,
             ..LoadSpec::default()
         };
-        // Inline replica of the pre-streaming eager generators.
         let mut rng = SmallRng::seed_from_u64(spec.seed);
         let eager_keys: Vec<usize> = (0..spec.requests).map(|_| rng.gen_range(0..18)).collect();
         let mut rng = SmallRng::seed_from_u64(spec.seed ^ 0xA5A5_5A5A_1234_5678);
@@ -1582,32 +1506,12 @@ mod tests {
                 t
             })
             .collect();
-        assert_eq!(spec.key_stream(18).collect::<Vec<_>>(), eager_keys);
-        let streamed: Vec<f64> = spec.arrival_stream(500.0).collect();
-        assert_eq!(streamed.len(), eager_arrivals.len());
-        for (s, e) in streamed.iter().zip(&eager_arrivals) {
-            assert_eq!(s.to_bits(), e.to_bits());
+        assert_eq!(spec.sample_keys(18), eager_keys);
+        let arrivals = spec.arrivals(500.0);
+        assert_eq!(arrivals.len(), eager_arrivals.len());
+        for (a, e) in arrivals.iter().zip(&eager_arrivals) {
+            assert_eq!(a.to_bits(), e.to_bits());
         }
-
-        // O(1) memory: the iterator structs are a fixed few machine
-        // words regardless of the stream length...
-        assert!(std::mem::size_of::<KeyStream>() <= 64);
-        assert!(std::mem::size_of::<ArrivalStream>() <= 64);
-        // ...and a ten-million-request schedule can be walked partially
-        // without materializing anything (laziness, not just size).
-        let huge = LoadSpec {
-            requests: 10_000_000,
-            ..LoadSpec::default()
-        };
-        let mut stream = huge.arrival_stream(1e4);
-        assert_eq!(stream.len(), 10_000_000);
-        let head: Vec<f64> = stream.by_ref().take(5).collect();
-        assert!(head.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(stream.len(), 10_000_000 - 5);
-        assert_eq!(huge.key_stream(18).nth(1_000_000), {
-            let mut s = huge.key_stream(18);
-            s.nth(1_000_000)
-        });
     }
 
     #[test]

@@ -56,8 +56,8 @@ impl PartialEq for ServeRequest {
 }
 
 /// Hashes exactly the identity fields [`PartialEq`] compares (the full
-/// configuration + backend; QoS keys excluded), as the byte-LRU's hash
-/// index requires. `scale` hashes by bit pattern — configurations
+/// configuration + backend; QoS keys excluded), as the sharded cache's
+/// hash routing requires. `scale` hashes by bit pattern — configurations
 /// validate it as a positive finite value, so bitwise identity coincides
 /// with `==` there.
 impl Hash for ServeRequest {

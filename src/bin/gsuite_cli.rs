@@ -974,11 +974,10 @@ fn run(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot read config file {path}: {e}"))?;
         config.apply_file(&content).map_err(|e| e.to_string())?;
     }
-    let overrides = RunConfig::from_args(&pipeline_args).map_err(|e| e.to_string())?;
-    // CLI flags win over file defaults: re-apply them on top.
-    if !pipeline_args.is_empty() {
-        config = merge(config, overrides, &pipeline_args);
-    }
+    // CLI flags win over file defaults: apply them on top.
+    config
+        .apply_args(&pipeline_args)
+        .map_err(|e| e.to_string())?;
 
     let profiler: Box<dyn Profiler> = match backend.as_str() {
         "hw" => Box::new(HwProfiler::v100()),
@@ -1149,61 +1148,4 @@ fn single_run_trace(
         vec![Attr::str("key", config.label())],
     );
     sink.finish(ClockDomain::Wall)
-}
-
-/// Re-applies CLI overrides on top of file defaults. `RunConfig::from_args`
-/// already validated `overrides`; we only need to know which keys the user
-/// actually passed.
-fn merge(mut base: RunConfig, overrides: RunConfig, raw_flags: &[String]) -> RunConfig {
-    let passed = |key: &str| {
-        raw_flags
-            .iter()
-            .any(|a| a == &format!("--{key}") || a.starts_with(&format!("--{key}=")))
-    };
-    if passed("model") {
-        base.model = overrides.model;
-    }
-    if passed("comp") || passed("computational-model") {
-        base.comp = overrides.comp;
-    }
-    if passed("dataset") {
-        base.dataset = overrides.dataset;
-    }
-    if passed("scale") {
-        base.scale = overrides.scale;
-    }
-    if passed("layers") {
-        base.layers = overrides.layers;
-    }
-    if passed("hidden") {
-        base.hidden = overrides.hidden;
-    }
-    if passed("framework") {
-        base.framework = overrides.framework;
-    }
-    if passed("seed") {
-        base.seed = overrides.seed;
-    }
-    if passed("functional") || passed("functional-math") {
-        base.functional_math = overrides.functional_math;
-    }
-    if passed("opt") || passed("opt-level") {
-        base.opt = overrides.opt;
-    }
-    if passed("shards") || passed("gpus") || passed("gpus-per-run") {
-        base.gpus_per_run = overrides.gpus_per_run;
-    }
-    if passed("partitioner") {
-        base.partitioner = overrides.partitioner;
-    }
-    if passed("batch_size") || passed("batch-size") {
-        base.batch_size = overrides.batch_size;
-    }
-    if passed("fanout") {
-        base.fanout = overrides.fanout;
-    }
-    if passed("seed_node") || passed("seed-node") {
-        base.seed_node = overrides.seed_node;
-    }
-    base
 }

@@ -280,6 +280,11 @@ fn batched_sim_runs_are_byte_identical_across_runs_and_threads() {
     let batch = report_a.batch.as_ref().expect("batch summary present");
     assert!(batch.batches > 0, "no batches dispatched");
     assert!(batch.batched_requests >= batch.batches);
+    assert!(
+        batch.size_hist.iter().skip(1).any(|&n| n > 0),
+        "no multi-member batch: {:?}",
+        batch.size_hist
+    );
     for phase in ["batch.form", "batch.scatter"] {
         assert!(
             report_a.phases.iter().any(|(name, _)| name == phase),

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use gsuite::scenarios::{registry, BenchOpts};
 use gsuite::serve::fault::{BreakerConfig, FaultPlan, ResilienceConfig, RetryPolicy};
 use gsuite::serve::sim::BatchPolicy;
-use gsuite::serve::{run_loadgen_traced, ArrivalMode, LoadSpec};
+use gsuite::serve::{run_loadgen_traced, ArrivalMode, LoadReport, LoadSpec};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -188,9 +188,20 @@ fn open_spec() -> LoadSpec {
 /// Runs one sim-clock loadgen traced, as `gsuite-cli loadgen --metrics`
 /// does (the traced path fills the report's `phases` block), and checks
 /// its `--json` report against `tests/golden/loadgen-<name>.json`.
-fn check_loadgen(name: &str, spec: &LoadSpec) {
+fn check_loadgen(name: &str, spec: &LoadSpec) -> LoadReport {
     let (report, _trace) = run_loadgen_traced(spec).expect("loadgen run");
     check_golden(&format!("loadgen-{name}.json"), &report.to_json());
+    report
+}
+
+/// One phase's total milliseconds in a traced report.
+fn phase_ms(report: &LoadReport, phase: &str) -> f64 {
+    report
+        .phases
+        .iter()
+        .find(|(name, _)| name == phase)
+        .unwrap_or_else(|| panic!("no {phase} phase"))
+        .1
 }
 
 #[test]
@@ -204,14 +215,29 @@ fn golden_loadgen_open() {
 }
 
 /// A 4 MiB cache keeps evicting pipelines, so rebuilds take the
-/// plan-template instantiate path.
+/// plan-template instantiate path. Once every compile shape in the mix
+/// has been seen, more traffic adds no lower/optimize/decorate time:
+/// the first 128 requests pay the same full-compile total as all 256,
+/// while instantiate time and template hits keep growing.
 #[test]
 fn golden_loadgen_warm() {
     let spec = LoadSpec {
         cache_bytes: 4 << 20,
         ..closed_spec()
     };
-    check_loadgen("warm", &spec);
+    let full = check_loadgen("warm", &spec);
+    let (half, _trace) = run_loadgen_traced(&LoadSpec {
+        requests: 128,
+        ..spec
+    })
+    .expect("loadgen run");
+    for phase in ["compile.lower", "compile.optimize", "compile.decorate"] {
+        assert_eq!(phase_ms(&half, phase), phase_ms(&full, phase), "{phase}");
+    }
+    let instantiate = phase_ms(&half, "compile.instantiate");
+    assert!(instantiate > 0.0);
+    assert!(phase_ms(&full, "compile.instantiate") > instantiate);
+    assert!(full.tpl_hits > half.tpl_hits && half.tpl_hits > 0);
 }
 
 #[test]

@@ -13,7 +13,9 @@
 //!    per-request latencies and counters across repeated runs and across
 //!    profiling thread counts, with a non-zero cache hit rate for a mix
 //!    with repeated configurations (the PR's acceptance criterion).
-//! 4. **The TCP protocol** round-trips requests, stats and shutdown.
+//! 4. **The TCP protocol** round-trips requests, stats and shutdown, and
+//!    the `gsuite-cli serve` and `loadgen --connect` binaries drive it
+//!    end to end.
 
 use proptest::prelude::*;
 
@@ -467,4 +469,65 @@ fn idle_connections_do_not_block_shutdown() {
     rx.recv_timeout(std::time::Duration::from_secs(30))
         .expect("server must shut down despite the idle connection")
         .expect("server exits cleanly");
+}
+
+/// Kills and reaps a child process on drop, so a failed assertion never
+/// leaves a server listening.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn cli_serve_answers_tcp_loadgen_and_stops() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Command, Stdio};
+
+    let bin = env!("CARGO_BIN_EXE_gsuite-cli");
+    let mut server = KillOnDrop(
+        Command::new(bin)
+            .args(["serve", "--port", "0", "--threads", "2"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn gsuite-cli serve"),
+    );
+    let mut stdout = BufReader::new(server.0.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        let read = stdout.read_line(&mut line).expect("read server stdout");
+        assert!(read > 0, "server exited before announcing its address");
+        if let Some((_, addr)) = line.trim().split_once("listening on ") {
+            break addr.to_string();
+        }
+    };
+
+    let loadgen = Command::new(bin)
+        .args(["loadgen", "--connect", &addr, "--scenario", "serve-mix"])
+        .args(["--seed", "7", "--requests", "8", "--clients", "2"])
+        .args(["--slo-ms", "5000", "--stop-server"])
+        .output()
+        .expect("run gsuite-cli loadgen");
+    let report = String::from_utf8_lossy(&loadgen.stdout);
+    assert!(
+        loadgen.status.success(),
+        "loadgen failed: {}",
+        String::from_utf8_lossy(&loadgen.stderr)
+    );
+    for needle in ["clock=tcp", "p99=", "SLO:"] {
+        assert!(report.contains(needle), "missing {needle}:\n{report}");
+    }
+
+    let mut rest = String::new();
+    stdout
+        .read_to_string(&mut rest)
+        .expect("read server stdout");
+    assert!(rest.contains("gsuite-serve stopped"), "{rest}");
+    let status = server.0.wait().expect("server exits");
+    assert!(status.success(), "server exited with {status}");
 }
