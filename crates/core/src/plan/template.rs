@@ -263,6 +263,12 @@ impl TemplateCache {
         found
     }
 
+    /// Whether `key` has a template, without counting a hit or miss.
+    pub fn contains(&self, key: &TemplateKey) -> bool {
+        let inner = self.inner.lock().expect("template cache lock");
+        inner.map.contains_key(key)
+    }
+
     /// Caches `template` under `key` (first writer wins; FIFO-evicts the
     /// oldest entry when full).
     pub fn insert(&self, key: TemplateKey, template: Template) {

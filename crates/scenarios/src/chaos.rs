@@ -226,9 +226,9 @@ pub(crate) fn render_chaos(result: &ScenarioResult, _opts: &BenchOpts) -> Report
             row.err.to_string(),
             row.shed.to_string(),
             row.timeouts.to_string(),
-            out.retries.to_string(),
-            out.breaker_trips.to_string(),
-            (out.degraded + out.stale_serves).to_string(),
+            out.resilience.retries.to_string(),
+            out.resilience.breaker_trips.to_string(),
+            (out.resilience.degraded + out.resilience.stale_serves).to_string(),
             format!("{:.1}", row.goodput_rps),
             ms(row.p99_ms),
             pct(row.slo),

@@ -18,6 +18,14 @@
 //! * [`RejectReason`] — the typed reject taxonomy surfaced as distinct
 //!   protocol response codes.
 //!
+//! The per-request rules that use them live here too, once for both
+//! serving clocks: [`ResilienceConfig::cache_step`] picks an attempt's
+//! cache step (stale serve, refresh, O0 fallback),
+//! [`ResilienceConfig::retry_after_ms`] the backoff before a retry, and
+//! [`ResilienceSummary`] holds the counters. Each clock supplies only
+//! what is clock-shaped: its deadline-pressure test, how it enforces a
+//! deadline, how time passes and how a crash happens.
+//!
 //! All policy defaults are **inert**: a default [`ResilienceConfig`] with
 //! no [`FaultPlan`] leaves every fault-free code path bit-identical to a
 //! build without this module.
@@ -26,6 +34,8 @@ use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::sim::CacheDisposition;
 
 /// Finalizes one splitmix64 mixing round (the standard finalizer used by
 /// the vendored `SmallRng` seeding path as well).
@@ -435,6 +445,117 @@ impl ResilienceConfig {
     pub fn is_inert(&self) -> bool {
         *self == ResilienceConfig::default()
     }
+
+    /// Picks one attempt's cache step. `age_ms` is the cached entry's
+    /// age (`None` on a miss). An entry past the soft TTL is refreshed;
+    /// with [`ResilienceConfig::degrade`] on and the clock's `pressured`
+    /// test true for the pending step, a refresh serves the entry stale
+    /// instead, and a miss falls back to an O0 compile unless
+    /// `template_cached` says the instantiate path already undercuts it.
+    /// `pressured` and `template_cached` are called only when they can
+    /// change the answer.
+    pub fn cache_step(
+        &self,
+        age_ms: Option<f64>,
+        pressured: impl FnOnce(CacheStep) -> bool,
+        template_cached: impl FnOnce() -> bool,
+    ) -> CacheStep {
+        let step = match age_ms {
+            None => CacheStep::Miss,
+            Some(age) if self.stale_ttl_ms.is_some_and(|ttl| age > ttl) => CacheStep::Refresh,
+            Some(_) => return CacheStep::Hit,
+        };
+        if !self.degrade || !pressured(step) {
+            step
+        } else if step == CacheStep::Refresh {
+            CacheStep::Stale
+        } else if template_cached() {
+            CacheStep::Miss
+        } else {
+            CacheStep::MissO0
+        }
+    }
+
+    /// The backoff in ms before retrying request `request` after its
+    /// 0-based attempt `failed_attempt` failed, or `None` once the retry
+    /// budget is spent. The jitter comes from `plan`'s jitter stream, and
+    /// is `0.0` without a plan.
+    pub fn retry_after_ms(
+        &self,
+        plan: Option<&FaultPlan>,
+        request: u64,
+        failed_attempt: u32,
+    ) -> Option<f64> {
+        (failed_attempt < self.retry.max_retries).then(|| {
+            let jitter = plan.map_or(0.0, |p| p.jitter(request, failed_attempt));
+            self.retry.backoff_ms(failed_attempt + 1, jitter)
+        })
+    }
+}
+
+/// How one attempt's cache interaction resolves
+/// ([`ResilienceConfig::cache_step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheStep {
+    /// A fresh cached entry is served.
+    Hit,
+    /// An entry past the soft TTL is served stale under deadline pressure.
+    Stale,
+    /// An entry past the soft TTL is rebuilt in line and re-inserted.
+    Refresh,
+    /// No entry: a full build, then cached.
+    Miss,
+    /// No entry, built with the O0 fallback under deadline pressure (not
+    /// cached).
+    MissO0,
+}
+
+impl CacheStep {
+    /// What a successful attempt reports: every step that found an
+    /// entry, a refresh included, is a hit.
+    pub fn disposition(self) -> CacheDisposition {
+        match self {
+            CacheStep::Hit | CacheStep::Stale | CacheStep::Refresh => CacheDisposition::Hit,
+            CacheStep::Miss | CacheStep::MissO0 => CacheDisposition::Miss,
+        }
+    }
+
+    /// Whether the step is a degraded serve (stale or O0).
+    pub fn is_degraded(self) -> bool {
+        matches!(self, CacheStep::Stale | CacheStep::MissO0)
+    }
+}
+
+/// Resilience counters of one serving run, kept the same way by both
+/// clocks; all zero on a fault-free run with an inert policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ResilienceSummary {
+    /// Retry attempts performed.
+    pub retries: u64,
+    /// Requests whose deadline expired (queued past it, or mid-attempt).
+    pub timeouts: u64,
+    /// Injected worker crashes (each crashed attempt counts, retried or
+    /// not).
+    pub crashed: u64,
+    /// Circuit-breaker trips (closed/half-open → open transitions).
+    pub breaker_trips: u64,
+    /// Requests shed at admission by an open circuit breaker.
+    pub circuit_open: u64,
+    /// Attempts served by the O0 compile fallback.
+    pub degraded: u64,
+    /// Attempts that served a stale-but-valid entry past the soft TTL.
+    pub stale_serves: u64,
+}
+
+impl ResilienceSummary {
+    /// Counts a degraded cache step where it is taken.
+    pub fn count_step(&mut self, step: CacheStep) {
+        match step {
+            CacheStep::MissO0 => self.degraded += 1,
+            CacheStep::Stale => self.stale_serves += 1,
+            CacheStep::Hit | CacheStep::Refresh | CacheStep::Miss => {}
+        }
+    }
 }
 
 /// Why a request was rejected or failed without a result — the typed
@@ -590,6 +711,83 @@ mod tests {
             ..ResilienceConfig::default()
         };
         assert!(!with_deadline.is_inert());
+    }
+
+    #[test]
+    fn cache_steps_and_retry_backoff_follow_one_table() {
+        use CacheStep::*;
+        // (stale TTL, entry age, degrade, pressured, template cached) → step.
+        let cases = [
+            (None, Some(1e9), true, true, true, Hit),
+            (Some(50.0), Some(10.0), true, true, false, Hit),
+            (Some(50.0), Some(60.0), false, false, false, Refresh),
+            (Some(50.0), Some(60.0), false, true, false, Refresh),
+            (Some(50.0), Some(60.0), true, false, false, Refresh),
+            (Some(50.0), Some(60.0), true, true, false, Stale),
+            (Some(50.0), Some(60.0), true, true, true, Stale),
+            (None, None, false, false, false, Miss),
+            (None, None, false, true, false, Miss),
+            (None, None, true, false, false, Miss),
+            (None, None, true, true, false, MissO0),
+            (None, None, true, true, true, Miss),
+            (Some(50.0), None, true, true, false, MissO0),
+            (Some(50.0), None, true, false, true, Miss),
+            (Some(0.0), Some(0.0), true, true, false, Hit),
+            (Some(0.0), Some(1e-9), false, true, false, Refresh),
+        ];
+        for (ttl, age, degrade, pressured, cached, want) in cases {
+            let cfg = ResilienceConfig {
+                degrade,
+                stale_ttl_ms: ttl,
+                ..ResilienceConfig::default()
+            };
+            let (mut asked, mut probed) = (false, false);
+            let step = cfg.cache_step(
+                age,
+                |pending| {
+                    asked = true;
+                    assert!(matches!(pending, Refresh | Miss), "{pending:?}");
+                    pressured
+                },
+                || {
+                    probed = true;
+                    cached
+                },
+            );
+            let case = (ttl, age, degrade, pressured, cached);
+            assert_eq!(step, want, "{case:?}");
+            // The clock's probes run only when they can change the step.
+            assert_eq!(asked, degrade && want != Hit, "pressure asked: {case:?}");
+            let could_fall_back = degrade && pressured && age.is_none();
+            assert_eq!(probed, could_fall_back, "template probed: {case:?}");
+        }
+        assert_eq!(Refresh.disposition(), CacheDisposition::Hit);
+        assert_eq!(Stale.disposition(), CacheDisposition::Hit);
+        assert_eq!(MissO0.disposition(), CacheDisposition::Miss);
+        let mut counts = ResilienceSummary::default();
+        for step in [Hit, Stale, Refresh, Miss, MissO0, MissO0] {
+            counts.count_step(step);
+        }
+        assert_eq!((counts.degraded, counts.stale_serves), (2, 1));
+
+        // Backoff: retry k waits backoff_ms(k, jitter(request, k - 1)).
+        let cfg = ResilienceConfig {
+            retry: RetryPolicy::retries(2),
+            ..ResilienceConfig::default()
+        };
+        let plan = FaultPlan::mixed(5, 0.3);
+        for failed in 0..2 {
+            let jitter = plan.jitter(9, failed);
+            let want = cfg.retry.backoff_ms(failed + 1, jitter);
+            assert_eq!(cfg.retry_after_ms(Some(&plan), 9, failed), Some(want));
+        }
+        assert_eq!(
+            cfg.retry_after_ms(None, 9, 1),
+            Some(1.0),
+            "no plan: jitter 0"
+        );
+        assert_eq!(cfg.retry_after_ms(Some(&plan), 9, 2), None, "retries spent");
+        assert_eq!(ResilienceConfig::default().retry_after_ms(None, 0, 0), None);
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! deadlines (with cooperative cancellation that reclaims the worker at
 //! the deadline), bounded retries with seeded jittered backoff, a
 //! per-config circuit breaker and graceful degradation (O0 compile
-//! fallback, stale-but-valid serves past the soft TTL). Fault draws are
+//! fallback, stale-but-valid serves past the soft TTL). The per-request
+//! rules come from [`crate::resilience`], which the live server applies
+//! too; this clock's own part is a deadline pressure that predicts an
+//! overrun of the pending step. Fault draws are
 //! keyed on `(seed, request index, attempt)` only, so a faulted run is
 //! exactly as replayable as a healthy one. With no plan and an inert
 //! config, every code path below is numerically identical to the
@@ -49,7 +52,9 @@
 //! summing to the `TEMPLATE_BUILD_SHARE · build_ms` it was charged.
 
 use crate::cache::{ByteLru, LruStats};
-use crate::resilience::{CircuitBreaker, FaultDraw, FaultPlan, ResilienceConfig};
+use crate::resilience::{
+    CacheStep, CircuitBreaker, FaultDraw, FaultPlan, ResilienceConfig, ResilienceSummary,
+};
 use gsuite_telemetry::{Attr, ClockDomain, SpanId, SpanSink, Trace};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -259,22 +264,8 @@ pub struct SimOutcome {
     pub coalesced: u64,
     /// Requests shed by the bounded queue.
     pub rejected: u64,
-    /// Requests whose deadline expired.
-    pub timeouts: u64,
-    /// Requests shed by an open circuit breaker.
-    pub circuit_open: u64,
-    /// Injected worker crashes observed (each crashed attempt counts,
-    /// retried or not).
-    pub crashed: u64,
-    /// Retry attempts performed.
-    pub retries: u64,
-    /// Circuit-breaker trips (closed/half-open → open transitions).
-    pub breaker_trips: u64,
-    /// Requests served degraded (O0 compile fallback).
-    pub degraded: u64,
-    /// Stale-but-valid cache entries served past the soft TTL under
-    /// deadline pressure.
-    pub stale_serves: u64,
+    /// Retry, deadline, crash, breaker and degradation counters.
+    pub resilience: ResilienceSummary,
     /// Charged builds served at the instantiate share because their
     /// plan-template group was already installed ([`SimCosts::template`]).
     /// Zero when no cost record carries a template group.
@@ -379,20 +370,6 @@ struct InFlight {
     error: bool,
 }
 
-/// How one attempt's cache interaction resolved.
-#[derive(PartialEq, Clone, Copy)]
-enum AttemptKind {
-    Hit,
-    /// Hit past the soft TTL, served stale under deadline pressure.
-    HitStale,
-    /// Hit past the soft TTL, rebuilt in line (pays the build cost).
-    Refresh,
-    Miss,
-    /// Miss built with the O0 fallback under deadline pressure (cheaper,
-    /// not cached).
-    MissDegraded,
-}
-
 /// The simulation core: workers, queue accounting, cache, the coalescing
 /// window, and the fault/resilience machinery. Requests are fed one at a
 /// time in nondecreasing submission order.
@@ -417,12 +394,7 @@ struct ServiceSim<'a> {
     breakers: Option<Vec<CircuitBreaker>>,
     coalesced: u64,
     rejected: u64,
-    timeouts: u64,
-    circuit_open: u64,
-    crashed: u64,
-    retries: u64,
-    degraded: u64,
-    stale_serves: u64,
+    resilience: ResilienceSummary,
     template_hits: u64,
     template_misses: u64,
     batches: u64,
@@ -451,12 +423,7 @@ impl<'a> ServiceSim<'a> {
             breakers,
             coalesced: 0,
             rejected: 0,
-            timeouts: 0,
-            circuit_open: 0,
-            crashed: 0,
-            retries: 0,
-            degraded: 0,
-            stale_serves: 0,
+            resilience: ResilienceSummary::default(),
             template_hits: 0,
             template_misses: 0,
             batches: 0,
@@ -484,7 +451,7 @@ impl<'a> ServiceSim<'a> {
     /// its record.
     fn shed(&mut self, key: usize, t: f64, disposition: SimDisposition) -> SimRecord {
         let (counter, name) = match disposition {
-            SimDisposition::CircuitOpen => (&mut self.circuit_open, "circuit-open"),
+            SimDisposition::CircuitOpen => (&mut self.resilience.circuit_open, "circuit-open"),
             SimDisposition::Rejected => (&mut self.rejected, "rejected"),
             SimDisposition::BatchShed => (&mut self.batch_shed, "batch-shed"),
             other => unreachable!("{other:?} is not a shed disposition"),
@@ -524,7 +491,7 @@ impl<'a> ServiceSim<'a> {
         key: usize,
         attempt_start: f64,
         attempt_ms: f64,
-        kind: AttemptKind,
+        kind: CacheStep,
         template_hit: bool,
         cost: &SimCosts,
         draw: &FaultDraw,
@@ -533,11 +500,11 @@ impl<'a> ServiceSim<'a> {
             return;
         };
         let result = match kind {
-            AttemptKind::Hit => "hit",
-            AttemptKind::HitStale => "stale-hit",
-            AttemptKind::Refresh => "refresh",
-            AttemptKind::Miss => "miss",
-            AttemptKind::MissDegraded => "miss-degraded",
+            CacheStep::Hit => "hit",
+            CacheStep::Stale => "stale-hit",
+            CacheStep::Refresh => "refresh",
+            CacheStep::Miss => "miss",
+            CacheStep::MissO0 => "miss-degraded",
         };
         tr.sink.record(
             "cache_lookup",
@@ -547,15 +514,7 @@ impl<'a> ServiceSim<'a> {
             0.0,
             vec![Attr::str("result", result)],
         );
-        // The modeled build share of this attempt (zero on plain hits).
-        let build_share = match kind {
-            AttemptKind::Miss | AttemptKind::Refresh if template_hit => {
-                TEMPLATE_BUILD_SHARE * cost.build_ms
-            }
-            AttemptKind::Miss | AttemptKind::Refresh => cost.build_ms,
-            AttemptKind::MissDegraded => 0.5 * cost.build_ms,
-            AttemptKind::Hit | AttemptKind::HitStale => 0.0,
-        } * draw.slow_factor;
+        let build_share = step_build_ms(kind, cost, template_hit) * draw.slow_factor;
         let mut cursor = attempt_start;
         if build_share > 0.0 {
             let build = tr.sink.record(
@@ -564,7 +523,7 @@ impl<'a> ServiceSim<'a> {
                 track,
                 cursor,
                 build_share,
-                if kind == AttemptKind::MissDegraded {
+                if kind == CacheStep::MissO0 {
                     vec![Attr::str("opt", "O0-fallback")]
                 } else if template_hit {
                     vec![Attr::str("compile", "instantiate")]
@@ -585,7 +544,7 @@ impl<'a> ServiceSim<'a> {
             };
             let mut phase_start = cursor;
             for &(phase, share) in phases {
-                if kind == AttemptKind::MissDegraded && phase == "compile.optimize" {
+                if kind == CacheStep::MissO0 && phase == "compile.optimize" {
                     continue;
                 }
                 let dur = full_build * share;
@@ -761,7 +720,7 @@ impl<'a> ServiceSim<'a> {
         // (the worker is untouched).
         if let Some(dl) = deadline {
             if start >= dl {
-                self.timeouts += 1;
+                self.resilience.timeouts += 1;
                 if let (Some(root), Some(tr)) = (root, self.tracer.as_mut()) {
                     tr.sink
                         .record("queue", Some(root), w as u32, t, dl - t, vec![]);
@@ -794,8 +753,8 @@ impl<'a> ServiceSim<'a> {
 
         let cost = &self.costs[key];
         let mut clock = start;
+        // Attempt k is retry k: the retry count is the attempt index.
         let mut attempt: u32 = 0;
-        let mut retries_used: u32 = 0;
         let mut any_crash = false;
         loop {
             let draw = match &self.params.fault {
@@ -848,7 +807,7 @@ impl<'a> ServiceSim<'a> {
                 });
                 self.record_breaker(key, clock, false);
                 if let Some(root) = root {
-                    self.trace_root(root, w as u32, key, t, clock - t, "error", retries_used);
+                    self.trace_root(root, w as u32, key, t, clock - t, "error", attempt);
                 }
                 return self.finish(SimRecord {
                     key,
@@ -868,50 +827,25 @@ impl<'a> ServiceSim<'a> {
             let template_hit = cost
                 .template
                 .is_some_and(|g| self.installed_templates.contains(&g));
-            let build_charge = if template_hit {
-                TEMPLATE_BUILD_SHARE * cost.build_ms
-            } else {
-                cost.build_ms
-            };
-            let (mut attempt_ms, mut kind) = match self.cache.get(&key).copied() {
-                Some(built_at) => match self.params.resilience.stale_ttl_ms {
-                    Some(ttl) if clock - built_at > ttl => {
-                        (build_charge + service_base, AttemptKind::Refresh)
-                    }
-                    _ => (service_base, AttemptKind::Hit),
-                },
-                None => (build_charge + service_base, AttemptKind::Miss),
-            };
-            attempt_ms *= draw.slow_factor;
-
-            // Graceful degradation under deadline pressure: serve the
-            // stale entry instead of refreshing, or fall back to the O0
-            // compile (skip optimize passes — modeled at half the build
-            // cost; degraded builds are not cached).
-            let mut degrade_mode = None;
-            if let Some(dl) = deadline {
-                if clock + attempt_ms > dl && self.params.resilience.degrade {
-                    match kind {
-                        AttemptKind::Refresh => {
-                            attempt_ms = service_base * draw.slow_factor;
-                            kind = AttemptKind::HitStale;
-                            degrade_mode = Some("stale-serve");
-                        }
-                        // The O0 fallback only helps when it is cheaper
-                        // than the pending build: an instantiate-served
-                        // miss (0.25 · build) already undercuts it.
-                        AttemptKind::Miss if !template_hit => {
-                            attempt_ms = (0.5 * cost.build_ms + service_base) * draw.slow_factor;
-                            kind = AttemptKind::MissDegraded;
-                            degrade_mode = Some("o0-fallback");
-                        }
-                        _ => {}
-                    }
-                }
-                if clock + attempt_ms > dl {
-                    return self.cancel_at(key, t, start, w, dl, root);
-                }
+            let step_ms =
+                |step| (step_build_ms(step, cost, template_hit) + service_base) * draw.slow_factor;
+            // The shared step rule; this clock's deadline pressure is a
+            // predicted overrun of the pending step.
+            let age_ms = self.cache.get(&key).map(|&built_at| clock - built_at);
+            let kind = self.params.resilience.cache_step(
+                age_ms,
+                |pending| deadline.is_some_and(|dl| clock + step_ms(pending) > dl),
+                || template_hit,
+            );
+            let attempt_ms = step_ms(kind);
+            if let Some(dl) = deadline.filter(|&dl| clock + attempt_ms > dl) {
+                return self.cancel_at(key, t, start, w, dl, root);
             }
+            let degrade_mode = match kind {
+                CacheStep::Stale => Some("stale-serve"),
+                CacheStep::MissO0 => Some("o0-fallback"),
+                _ => None,
+            };
             if let Some(root) = root {
                 if let (Some(mode), Some(tr)) = (degrade_mode, self.tracer.as_mut()) {
                     tr.sink.record(
@@ -936,47 +870,33 @@ impl<'a> ServiceSim<'a> {
                 );
             }
             clock += attempt_ms;
-            match kind {
-                AttemptKind::Miss | AttemptKind::Refresh => {
-                    self.cache.insert(key, clock, cost.bytes);
-                    // The charged build installs the shape's template
-                    // (mirroring the live server, the insert survives a
-                    // later transient loss of the attempt's result).
-                    if let Some(g) = cost.template {
-                        if template_hit {
-                            self.template_hits += 1;
-                        } else {
-                            self.template_misses += 1;
-                        }
-                        self.installed_templates.insert(g);
+            self.resilience.count_step(kind);
+            if let CacheStep::Miss | CacheStep::Refresh = kind {
+                self.cache.insert(key, clock, cost.bytes);
+                // The charged build installs the shape's template
+                // (mirroring the live server, the insert survives a
+                // later loss of the attempt's result).
+                if let Some(g) = cost.template {
+                    if template_hit {
+                        self.template_hits += 1;
+                    } else {
+                        self.template_misses += 1;
                     }
+                    self.installed_templates.insert(g);
                 }
-                AttemptKind::MissDegraded => self.degraded += 1,
-                AttemptKind::HitStale => self.stale_serves += 1,
-                AttemptKind::Hit => {}
             }
 
             // Injected failures: the attempt's work is lost; retry with
             // seeded jittered backoff while the policy allows.
             if draw.crash || draw.transient {
                 if draw.crash {
-                    self.crashed += 1;
+                    self.resilience.crashed += 1;
                     any_crash = true;
                 }
                 let cause = if draw.crash { "crash" } else { "transient" };
-                if retries_used < self.params.resilience.retry.max_retries {
-                    retries_used += 1;
-                    self.retries += 1;
-                    let jitter = self
-                        .params
-                        .fault
-                        .as_ref()
-                        .map_or(0.0, |plan| plan.jitter(req, attempt));
-                    let backoff = self
-                        .params
-                        .resilience
-                        .retry
-                        .backoff_ms(retries_used, jitter);
+                let plan = self.params.fault.as_ref();
+                if let Some(backoff) = self.params.resilience.retry_after_ms(plan, req, attempt) {
+                    self.resilience.retries += 1;
                     if let (Some(root), Some(tr)) = (root, self.tracer.as_mut()) {
                         tr.sink.record(
                             "retry",
@@ -1012,7 +932,7 @@ impl<'a> ServiceSim<'a> {
                 };
                 if let Some(root) = root {
                     let name = if any_crash { "crashed" } else { "error" };
-                    self.trace_root(root, w as u32, key, t, clock - t, name, retries_used);
+                    self.trace_root(root, w as u32, key, t, clock - t, name, attempt);
                 }
                 return self.finish(SimRecord {
                     key,
@@ -1034,22 +954,9 @@ impl<'a> ServiceSim<'a> {
                 error: false,
             });
             self.record_breaker(key, clock, true);
-            let cached = match kind {
-                AttemptKind::Hit | AttemptKind::HitStale | AttemptKind::Refresh => {
-                    CacheDisposition::Hit
-                }
-                AttemptKind::Miss | AttemptKind::MissDegraded => CacheDisposition::Miss,
-            };
+            let cached = kind.disposition();
             if let Some(root) = root {
-                self.trace_root(
-                    root,
-                    w as u32,
-                    key,
-                    t,
-                    clock - t,
-                    cached.name(),
-                    retries_used,
-                );
+                self.trace_root(root, w as u32, key, t, clock - t, cached.name(), attempt);
             }
             return self.finish(SimRecord {
                 key,
@@ -1075,7 +982,7 @@ impl<'a> ServiceSim<'a> {
         root: Option<SpanId>,
     ) -> SimRecord {
         self.worker_free[w] = dl;
-        self.timeouts += 1;
+        self.resilience.timeouts += 1;
         self.record_breaker(key, dl, false);
         if let Some(root) = root {
             if let Some(tr) = self.tracer.as_mut() {
@@ -1107,16 +1014,13 @@ impl<'a> ServiceSim<'a> {
             cache: self.cache.stats(),
             coalesced: self.coalesced,
             rejected: self.rejected,
-            timeouts: self.timeouts,
-            circuit_open: self.circuit_open,
-            crashed: self.crashed,
-            retries: self.retries,
-            breaker_trips: self
-                .breakers
-                .as_ref()
-                .map_or(0, |bs| bs.iter().map(CircuitBreaker::trips).sum()),
-            degraded: self.degraded,
-            stale_serves: self.stale_serves,
+            resilience: ResilienceSummary {
+                breaker_trips: self
+                    .breakers
+                    .as_ref()
+                    .map_or(0, |bs| bs.iter().map(CircuitBreaker::trips).sum()),
+                ..self.resilience
+            },
             template_hits: self.template_hits,
             template_misses: self.template_misses,
             batches: self.batches,
@@ -1707,6 +1611,21 @@ pub(crate) fn tally(out: &SimOutcome, slo_ms: f64) -> Tally {
     }
 }
 
+/// The modeled build milliseconds of one cache step: none on a hit or a
+/// stale serve, the full build on a miss or refresh ([`TEMPLATE_BUILD_SHARE`]
+/// of it once the template group is installed), and half the full build
+/// for the O0 fallback.
+fn step_build_ms(step: CacheStep, cost: &SimCosts, template_hit: bool) -> f64 {
+    match step {
+        CacheStep::Hit | CacheStep::Stale => 0.0,
+        CacheStep::Miss | CacheStep::Refresh if template_hit => {
+            TEMPLATE_BUILD_SHARE * cost.build_ms
+        }
+        CacheStep::Miss | CacheStep::Refresh => cost.build_ms,
+        CacheStep::MissO0 => 0.5 * cost.build_ms,
+    }
+}
+
 /// Index of the minimum element (first on ties) — worker/client election.
 fn min_index(xs: &[f64]) -> usize {
     let mut best = 0;
@@ -1920,7 +1839,7 @@ mod tests {
         let b = open(&keys, &arrivals, &costs, p);
         assert_eq!(a, b);
         // The fault mix actually fired something.
-        assert!(a.retries + a.timeouts + a.crashed > 0);
+        assert!(a.resilience.retries + a.resilience.timeouts + a.resilience.crashed > 0);
     }
 
     #[test]
@@ -1947,7 +1866,7 @@ mod tests {
         };
         let out = open(&[0], &[0.0], &costs, p);
         assert_eq!(out.records[0].disposition, SimDisposition::Error);
-        assert_eq!(out.retries, 2, "both retries spent");
+        assert_eq!(out.resilience.retries, 2, "both retries spent");
         // 3 attempts x 10 ms plus two jittered backoffs in [2, 4) + [4, 8).
         assert!(out.records[0].latency_ms > 30.0);
         assert!(out.records[0].latency_ms < 42.0);
@@ -1969,7 +1888,7 @@ mod tests {
         };
         let out = open(&[0], &[0.0], &costs, no_retry);
         assert_eq!(out.records[0].disposition, SimDisposition::Crashed);
-        assert_eq!(out.crashed, 1);
+        assert_eq!(out.resilience.crashed, 1);
         let with_retry = SimParams {
             resilience: ResilienceConfig {
                 retry: RetryPolicy::retries(3),
@@ -1978,7 +1897,10 @@ mod tests {
             ..no_retry
         };
         let out = open(&[0], &[0.0], &costs, with_retry);
-        assert_eq!(out.crashed, 4, "initial attempt + 3 retries all crash");
+        assert_eq!(
+            out.resilience.crashed, 4,
+            "initial attempt + 3 retries all crash"
+        );
         assert_eq!(out.records[0].disposition, SimDisposition::Crashed);
     }
 
@@ -1995,7 +1917,7 @@ mod tests {
         let out = open(&[0, 1], &[0.0, 10.0], &costs, p);
         assert_eq!(out.records[0].disposition, SimDisposition::TimedOut);
         assert_eq!(out.records[0].latency_ms, 50.0);
-        assert_eq!(out.timeouts, 2);
+        assert_eq!(out.resilience.timeouts, 2);
         // The worker was reclaimed at t=50, so the second request starts
         // there — and times out at its own deadline (10 + 50).
         assert_eq!(out.records[1].queue_ms, 40.0);
@@ -2022,8 +1944,11 @@ mod tests {
         let keys = vec![0usize; 8];
         let arrivals: Vec<f64> = (0..8).map(|i| i as f64 * 10.0).collect();
         let out = open(&keys, &arrivals, &c, p);
-        assert_eq!(out.breaker_trips, 1);
-        assert_eq!(out.circuit_open, 4, "after 4 failures the rest are shed");
+        assert_eq!(out.resilience.breaker_trips, 1);
+        assert_eq!(
+            out.resilience.circuit_open, 4,
+            "after 4 failures the rest are shed"
+        );
         assert!(out.records[7].disposition == SimDisposition::CircuitOpen);
     }
 
@@ -2048,8 +1973,8 @@ mod tests {
         assert_eq!(out.records[0].latency_ms, 20.0);
         // Degraded builds are not cached: the second request degrades too.
         assert_eq!(out.cache.entries, 0);
-        assert_eq!(out.degraded, 2);
-        assert_eq!(out.timeouts, 0);
+        assert_eq!(out.resilience.degraded, 2);
+        assert_eq!(out.resilience.timeouts, 0);
 
         // Refresh past the soft TTL happens in line when the budget
         // allows it.
@@ -2065,7 +1990,7 @@ mod tests {
         let out = open(&[0, 0], &[0.0, 100.0], &costs, warm);
         // Entry built at t=30; at t=100 it is 70 ms old (> 50 TTL) and the
         // refresh (30 ms) fits the 200 ms deadline: refreshed in line.
-        assert_eq!(out.stale_serves, 0);
+        assert_eq!(out.resilience.stale_serves, 0);
         assert_eq!(out.records[1].latency_ms, 30.0);
         assert_eq!(out.cache.hits, 1);
         assert_eq!(out.cache.insertions, 2, "the refresh re-inserts");
@@ -2099,13 +2024,13 @@ mod tests {
         // 115, budget left is 20 ms (deadline 135): the 30 ms refresh
         // does not fit, the 10 ms stale serve does.
         let out = open(&[0, 1, 0], &[0.0, 90.0, 100.0], &c, p);
-        assert_eq!(out.stale_serves, 1);
+        assert_eq!(out.resilience.stale_serves, 1);
         assert_eq!(
             out.records[2].disposition,
             SimDisposition::Done(CacheDisposition::Hit)
         );
         assert_eq!(out.records[2].latency_ms, 25.0); // 15 queued + 10 served
-        assert_eq!(out.timeouts, 0);
+        assert_eq!(out.resilience.timeouts, 0);
     }
 
     #[test]
@@ -2225,7 +2150,7 @@ mod tests {
             batch: None,
         };
         let (out, trace) = traced(&[0], arrivals, &costs, degrade, &[]);
-        assert_eq!(out.degraded, 1);
+        assert_eq!(out.resilience.degraded, 1);
         assert!(trace.spans.iter().any(|s| s.name == "degrade"));
         let build: Vec<_> = trace.spans.iter().filter(|s| s.name == "build").collect();
         assert_eq!(build.len(), 1);

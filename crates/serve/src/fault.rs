@@ -1,24 +1,28 @@
 //! Fault injection and resilience policy for the serving layer.
 //!
-//! The declarative fault model ([`FaultPlan`], [`FaultSpec`]) and the
+//! The declarative fault model ([`FaultPlan`], [`FaultSpec`]), the
 //! resilience policy ([`ResilienceConfig`], [`RetryPolicy`],
-//! [`BreakerConfig`], [`CircuitBreaker`], [`RejectReason`]) live in
-//! [`gsuite_scenarios::resilience`], where both the live server and the
-//! registry's `chaos` scenario can reach them; this module re-exports
-//! them and adds the serve-side glue:
+//! [`BreakerConfig`], [`CircuitBreaker`], [`RejectReason`]) and the
+//! per-request rules both serving clocks apply ([`CacheStep`],
+//! [`ResilienceConfig::cache_step`], [`ResilienceConfig::retry_after_ms`],
+//! [`ResilienceSummary`]) live in [`gsuite_scenarios::resilience`], where
+//! the live server, the sim clock and the registry's `chaos` scenario can
+//! all reach them; this module re-exports them and adds the serve-side
+//! glue:
 //!
 //! * [`plan_for`] — resolves the per-request `fault_seed` override
 //!   against the server's configured plan, so a chaos client can replay
 //!   one request's fault draws deterministically;
-//! * fault draws are keyed on `(seed, request index, attempt)` only, so
-//!   a `(seed, mix)` pair replays **byte-identically** under
-//!   `--clock sim` and identically-in-distribution under `--clock wall`
-//!   (where queueing order, and therefore the request-index assignment,
-//!   is the only nondeterminism).
+//! * fault draws are keyed on `(seed, request index, attempt)` only, and
+//!   every submission takes the next request index, shed or not. A
+//!   `(seed, mix)` pair therefore replays **byte-identically** under
+//!   `--clock sim`, and under `--clock wall` whenever submission order is
+//!   fixed (one closed-loop client); with more clients, queueing order
+//!   decides which request draws which index.
 
 pub use gsuite_scenarios::resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, FaultDraw, FaultPlan, FaultRng, FaultSpec,
-    RejectReason, ResilienceConfig, RetryPolicy,
+    BreakerConfig, BreakerState, CacheStep, CircuitBreaker, FaultDraw, FaultPlan, FaultRng,
+    FaultSpec, RejectReason, ResilienceConfig, ResilienceSummary, RetryPolicy,
 };
 
 /// Resolves the effective fault plan for one request: the server's plan

@@ -78,11 +78,12 @@ pub mod sim {
 }
 
 pub use cache::ShardedByteLru;
+pub use fault::ResilienceSummary;
 pub use gsuite_scenarios::sim::build_cost_ms;
 pub use gsuite_scenarios::{ByteLru, LruStats};
 pub use loadgen::{
     run_loadgen, run_loadgen_traced, ArrivalMode, BatchSummary, ClockMode, LatencySummary,
-    LoadReport, LoadSpec, ResilienceSummary, SloReport, PHASE_SPAN_NAMES,
+    LoadReport, LoadSpec, SloReport, PHASE_SPAN_NAMES,
 };
 pub use net::{loadgen_tcp, serve_blocking, serve_on, ProtocolClient};
 pub use request::{CacheDisposition, ServeRequest};

@@ -28,9 +28,9 @@ use gsuite_telemetry::{Attr, ClockDomain, MetricsRegistry, SpanSink, Trace};
 
 use gsuite_core::plan::batchmerge::{merge_class, MergeClass};
 
-use crate::fault::{FaultPlan, ResilienceConfig};
+use crate::fault::{FaultPlan, ResilienceConfig, ResilienceSummary};
 use crate::request::ServeRequest;
-use crate::server::{entry_bytes, Completion, ServeConfig, Server, ServerStats, SubmitError};
+use crate::server::{entry_bytes, Completion, ServeConfig, Server, SubmitError};
 use crate::sim::{
     build_cost_ms, simulate, Arrivals, BatchPolicy, SimBatch, SimCosts, SimDisposition, SimParams,
     SpanProfile,
@@ -108,11 +108,14 @@ pub struct LoadSpec {
     /// and leaves every report byte-identical to the pre-fault format.
     pub fault: Option<FaultPlan>,
     /// Resilience policy applied by the service. Default: fully inert.
-    /// The sim and wall clocks share the policy types, but each clock
-    /// applies its own copy of the rules, and some differ: when a stale
-    /// entry is served, whether a refresh reports a hit, when the O0
-    /// fallback runs, the backoff jitter, whether a cancelled attempt
-    /// counts against the breaker, and what deadline pressure means.
+    /// Both clocks apply it through the same rules
+    /// ([`crate::fault::ResilienceConfig::cache_step`],
+    /// [`crate::fault::ResilienceConfig::retry_after_ms`]); each keeps
+    /// only its own deadline-pressure test (a predicted overrun on the
+    /// sim clock, over half the budget spent on the wall clock), its
+    /// deadline enforcement, its time and its way of crashing. With one
+    /// closed-loop client and one worker, and no slowdowns, eviction
+    /// storms, deadlines or TTLs, both clocks report the same counters.
     pub resilience: ResilienceConfig,
     /// Cross-request batching policy. `None` (the default) serves every
     /// request alone and keeps all reports byte-identical to the
@@ -269,41 +272,6 @@ impl SloReport {
     /// Whether the run met the objective.
     pub fn met(&self) -> bool {
         self.attainment >= Self::TARGET_FRACTION
-    }
-}
-
-/// Resilience-layer counters of one load-generation run, all zero on a
-/// fault-free run with an inert policy.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResilienceSummary {
-    /// Retry attempts performed.
-    pub retries: u64,
-    /// Requests failed on an expired deadline.
-    pub timeouts: u64,
-    /// Requests failed by worker crashes (retries exhausted).
-    pub crashed: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Requests shed at admission by an open circuit breaker.
-    pub circuit_open: u64,
-    /// Requests served by the O0 compile fallback.
-    pub degraded: u64,
-    /// Stale-but-valid cache serves past the soft TTL.
-    pub stale_serves: u64,
-}
-
-impl ResilienceSummary {
-    /// The resilience counters of a live server's snapshot.
-    pub(crate) fn of(stats: &ServerStats) -> Self {
-        ResilienceSummary {
-            retries: stats.retries,
-            timeouts: stats.timeouts,
-            crashed: stats.crashed,
-            breaker_trips: stats.breaker_trips,
-            circuit_open: stats.breaker_shed,
-            degraded: stats.degraded,
-            stale_serves: stats.stale_serves,
-        }
     }
 }
 
@@ -1135,15 +1103,7 @@ fn run_sim(
     );
     report.tpl_hits = outcome.template_hits;
     report.tpl_misses = outcome.template_misses;
-    report.resilience = ResilienceSummary {
-        retries: outcome.retries,
-        timeouts: outcome.timeouts,
-        crashed: outcome.crashed,
-        breaker_trips: outcome.breaker_trips,
-        circuit_open: outcome.circuit_open,
-        degraded: outcome.degraded,
-        stale_serves: outcome.stale_serves,
-    };
+    report.resilience = outcome.resilience;
     if spec.batch.is_some() {
         report.batch = Some(BatchSummary {
             batches: outcome.batches,
@@ -1348,7 +1308,7 @@ fn run_wall(
     );
     report.tpl_hits = stats.tpl_hits;
     report.tpl_misses = stats.tpl_misses;
-    report.resilience = ResilienceSummary::of(&stats);
+    report.resilience = stats.resilience();
     if spec.batch.is_some() {
         // The wall server does not keep a per-size histogram; the
         // summary's average still falls out of the two counters.

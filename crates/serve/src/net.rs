@@ -23,18 +23,23 @@
 //! [`ProtocolClient::round_trip_multi`]).
 //!
 //! Malformed request lines answer `err id=- msg="..."` and keep the
-//! connection open.
+//! connection open. So does a line longer than 64 KiB (`MAX_LINE_BYTES`):
+//! the server answers as soon as the limit is reached and skips the rest
+//! of that line without buffering it.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use gsuite_scenarios::LruStats;
 
-use crate::loadgen::{ArrivalMode, LoadReport, LoadSpec, ResilienceSummary, Step};
+use crate::loadgen::{ArrivalMode, LoadReport, LoadSpec, Step};
 use crate::request::ServeRequest;
 use crate::server::{ServeConfig, Server, ServerStats};
+
+/// The longest request line the server buffers, newline excluded.
+const MAX_LINE_BYTES: usize = 64 << 10;
 
 /// Binds `host:port` (port `0` picks an ephemeral port), announces
 /// `gsuite-serve listening on <addr>` on stdout and serves connections
@@ -118,11 +123,13 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) -> b
     let mut writer = stream;
     let mut reader = BufReader::new(reader_stream);
     // Reusable request read buffer. Partial line bytes survive timeout
-    // wake-ups (`read_line` appends whatever it consumed before the
+    // wake-ups (`read_until` keeps whatever it consumed before the
     // timeout error), and the allocation is recycled across requests:
     // each line is decoded in place over borrowed `&str` key/value
     // slices, so the steady-state loop performs no per-line allocation.
-    let mut pending = String::new();
+    let mut pending = Vec::new();
+    // Inside the unbuffered tail of an overlong line.
+    let mut skipping = false;
     loop {
         // Checked on every iteration — not just timeouts — so a client
         // pipelining requests back-to-back cannot delay a shutdown
@@ -130,7 +137,15 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) -> b
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_line(&mut pending) {
+        // One byte past the limit tells an overlong line from one that
+        // just fits with its newline.
+        let budget = (MAX_LINE_BYTES + 1 - pending.len()) as u64;
+        let read = if skipping {
+            reader.skip_until(b'\n')
+        } else {
+            reader.by_ref().take(budget).read_until(b'\n', &mut pending)
+        };
+        match read {
             Ok(0) => break, // client closed
             Ok(_) => {}
             Err(e)
@@ -146,7 +161,23 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) -> b
             }
             Err(_) => break,
         }
-        let response = match pending.trim() {
+        if std::mem::take(&mut skipping) {
+            continue;
+        }
+        if pending.len() > MAX_LINE_BYTES && pending.last() != Some(&b'\n') {
+            pending.clear();
+            skipping = true;
+            let msg = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            if writeln!(writer, "err id=- msg={msg:?}").is_err() {
+                break;
+            }
+            continue;
+        }
+        // A line that is not UTF-8 ends the connection.
+        let Ok(line) = std::str::from_utf8(&pending) else {
+            break;
+        };
+        let response = match line.trim() {
             "" => {
                 pending.clear();
                 continue;
@@ -385,7 +416,7 @@ pub fn loadgen_tcp(addr: &str, spec: &LoadSpec, stop_server: bool) -> Result<Loa
         makespan_ms,
         latencies,
     );
-    report.resilience = ResilienceSummary::of(&run_stats);
+    report.resilience = run_stats.resilience();
     Ok(report)
 }
 

@@ -23,13 +23,15 @@
 //! slowdowns, transient failures, worker crashes (real panic-unwinds,
 //! caught and counted by the supervisor), cache eviction storms, degraded
 //! interconnects — and the [`ResilienceConfig`] decides what happens
-//! next: per-request deadlines propagate as a cooperative-cancellation
-//! budget into the build phases, transient failures and crashes retry
-//! with seeded jittered backoff, per-config circuit breakers shed
-//! known-bad configurations at submission, and deadline pressure degrades
-//! gracefully (O0 compile fallback, stale-but-valid cache serves past the
-//! soft TTL). Every knob defaults to **inert**: a fault-free server takes
-//! exactly the historical code path.
+//! next. The per-request rules (stale serves, refreshes, the O0
+//! fallback, backoff, breaker outcomes, counters) are the ones the sim
+//! clock applies, from [`crate::fault`]. What this clock adds is its own:
+//! deadline pressure means over half the budget is spent before an
+//! attempt starts; a deadline is enforced at build checkpoints and again
+//! after the attempt; time is [`Instant`] and `sleep`; and a crash is a
+//! real panic, raised after the attempt's cache work and profile. Every
+//! knob defaults to **inert**: a fault-free server takes exactly the
+//! historical code path.
 //!
 //! # Example
 //!
@@ -52,7 +54,7 @@ use std::time::Instant;
 use gsuite_core::config::RunConfig;
 use gsuite_core::pipeline::{PipelineRun, WorkerScratch};
 use gsuite_core::plan::batchmerge::merge_class;
-use gsuite_core::plan::template::TemplateCache;
+use gsuite_core::plan::template::{TemplateCache, TemplateKey};
 use gsuite_core::plan::OptLevel;
 use gsuite_core::CoreError;
 use gsuite_graph::Graph;
@@ -62,7 +64,10 @@ use gsuite_scenarios::BenchOpts;
 use gsuite_scenarios::LruStats;
 
 use crate::cache::ShardedByteLru;
-use crate::fault::{CircuitBreaker, FaultDraw, FaultPlan, RejectReason, ResilienceConfig};
+use crate::fault::{
+    CacheStep, CircuitBreaker, FaultDraw, FaultPlan, RejectReason, ResilienceConfig,
+    ResilienceSummary,
+};
 use crate::request::{CacheDisposition, ServeRequest};
 
 /// A cached execution unit: the loaded graph and the built pipeline.
@@ -315,10 +320,10 @@ pub struct ServerStats {
     pub breaker_trips: u64,
     /// Submissions shed at admission by an open circuit breaker.
     pub breaker_shed: u64,
-    /// Requests served by the O0 compile fallback under deadline
+    /// Attempts served by the O0 compile fallback under deadline
     /// pressure.
     pub degraded: u64,
-    /// Requests served from a stale-but-valid cache entry past its soft
+    /// Attempts that served a stale-but-valid cache entry past its soft
     /// TTL.
     pub stale_serves: u64,
     /// Injected worker crashes caught by the supervisor.
@@ -505,6 +510,19 @@ impl ServerStats {
                 entries: get("cache_entries") as usize,
             },
         })
+    }
+
+    /// The resilience counters of the snapshot.
+    pub(crate) fn resilience(&self) -> ResilienceSummary {
+        ResilienceSummary {
+            retries: self.retries,
+            timeouts: self.timeouts,
+            crashed: self.crashed,
+            breaker_trips: self.breaker_trips,
+            circuit_open: self.breaker_shed,
+            degraded: self.degraded,
+            stale_serves: self.stale_serves,
+        }
     }
 
     /// The snapshot as a metrics registry — the payload of the `metrics`
@@ -703,12 +721,9 @@ struct State {
     completed: u64,
     coalesced: u64,
     rejected: u64,
-    retries: u64,
-    timeouts: u64,
-    breaker_shed: u64,
-    degraded: u64,
-    stale_serves: u64,
-    crashed: u64,
+    /// Resilience counters; `breaker_trips` is summed from `breakers`
+    /// when a snapshot is taken.
+    resilience: ResilienceSummary,
     respawns: u64,
     peak_device_bytes: u64,
     shard_peak_device_bytes: u64,
@@ -763,12 +778,7 @@ impl Server {
                 completed: 0,
                 coalesced: 0,
                 rejected: 0,
-                retries: 0,
-                timeouts: 0,
-                breaker_shed: 0,
-                degraded: 0,
-                stale_serves: 0,
-                crashed: 0,
+                resilience: ResilienceSummary::default(),
                 respawns: 0,
                 peak_device_bytes: 0,
                 shard_peak_device_bytes: 0,
@@ -833,6 +843,10 @@ impl Server {
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
+        // Every submission takes the next request index, shed or not: the
+        // index keys the fault draws, so it follows the request stream.
+        let id = state.next_id;
+        state.next_id += 1;
         // Batch-former admission: with `max_backlog` forming windows
         // already open, a *mergeable* submission is shed instead of
         // deepening the backlog (unmergeable requests bypass the former
@@ -861,12 +875,10 @@ impl Server {
                 }
             };
             if !breaker.admit(now_ms) {
-                state.breaker_shed += 1;
+                state.resilience.circuit_open += 1;
                 return Err(SubmitError::CircuitOpen);
             }
         }
-        let id = state.next_id;
-        state.next_id += 1;
         let waiter = Waiter {
             id,
             submitted: Instant::now(),
@@ -922,6 +934,7 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         let tpl = self.inner.templates.stats();
         let state = self.inner.state.lock().expect("server state poisoned");
+        let r = &state.resilience;
         ServerStats {
             workers: self.handles.len(),
             queue_depth: state.queue.len(),
@@ -931,13 +944,13 @@ impl Server {
             rejected: state.rejected,
             peak_device_bytes: state.peak_device_bytes,
             shard_peak_device_bytes: state.shard_peak_device_bytes,
-            retries: state.retries,
-            timeouts: state.timeouts,
+            retries: r.retries,
+            timeouts: r.timeouts,
             breaker_trips: state.breakers.iter().map(|(_, b)| b.trips()).sum(),
-            breaker_shed: state.breaker_shed,
-            degraded: state.degraded,
-            stale_serves: state.stale_serves,
-            crashed: state.crashed,
+            breaker_shed: r.circuit_open,
+            degraded: r.degraded,
+            stale_serves: r.stale_serves,
+            crashed: r.crashed,
             respawns: state.respawns,
             tpl_hits: tpl.hits,
             tpl_misses: tpl.misses,
@@ -984,7 +997,7 @@ enum AttemptError {
     /// model/computational-model pair).
     Permanent(String),
     /// Retryable: an injected transient fault.
-    Transient(String),
+    Transient,
     /// The worker crashed mid-attempt (caught panic); retryable.
     Crash,
     /// The deadline budget expired at a build checkpoint.
@@ -994,27 +1007,26 @@ enum AttemptError {
 /// What one successful attempt produced.
 struct AttemptSuccess {
     profile: Arc<PipelineProfile>,
-    cache: CacheDisposition,
-    /// Served by the O0 compile fallback.
-    degraded: bool,
-    /// Served from a stale cache entry past its soft TTL.
-    stale: bool,
+    /// How the attempt's cache interaction resolved.
+    step: CacheStep,
     peak_device_bytes: u64,
     shard_peak_device_bytes: u64,
 }
 
-/// Builds graph + pipeline for `config` — the expensive miss path, run
-/// outside the state lock. Repeat compile shapes are served from
-/// `templates` (instantiate + schedule only); `scratch` is the calling
-/// worker's reusable compile arena; `cancelled` is the deadline budget's
+/// Builds the pipeline for `config` over `graph` (loaded here when the
+/// caller has none) — the expensive miss path, run outside the state
+/// lock. Repeat compile shapes are served from `templates` (instantiate
+/// and schedule only); `scratch` is the calling worker's reusable
+/// compile arena; `cancelled` is the deadline budget's
 /// cooperative-cancellation checkpoint.
 fn build_pipeline(
     config: &RunConfig,
+    graph: Option<Arc<Graph>>,
     templates: &TemplateCache,
     scratch: &mut WorkerScratch,
     cancelled: &mut dyn FnMut() -> bool,
 ) -> Result<CachedPipeline, AttemptError> {
-    let graph = Arc::new(config.load_graph());
+    let graph = graph.unwrap_or_else(|| Arc::new(config.load_graph()));
     match PipelineRun::build_with_templates_in(&graph, config, templates, scratch, cancelled) {
         Ok(run) => Ok((graph, Arc::new(run))),
         Err(CoreError::Cancelled) => Err(AttemptError::Cancelled),
@@ -1031,10 +1043,12 @@ fn build_pipeline(
     }
 }
 
-/// One execution attempt of `key`: cache lookup (with stale-TTL aging),
-/// build on miss (O0 fallback under deadline pressure), profile (link
-/// faults price the halo exchanges), then the injected slowdown and
-/// transient-failure effects. Runs under the supervisor's `catch_unwind`.
+/// One execution attempt of `key`: the shared cache step (stale-TTL
+/// aging; the O0 fallback under deadline pressure), a build on a miss or
+/// refresh, the profile (link faults price the halo exchanges), then the
+/// injected slowdown, crash and transient failure — the last two lose the
+/// attempt's result after its cache work. Runs under the supervisor's
+/// `catch_unwind`.
 fn run_attempt(
     inner: &Inner,
     key: &ServeRequest,
@@ -1044,72 +1058,52 @@ fn run_attempt(
     cancelled: &mut dyn FnMut() -> bool,
 ) -> Result<AttemptSuccess, AttemptError> {
     let started = Instant::now();
-    if draw.crash {
-        // An injected worker crash: a real panic-unwind through the
-        // execution path, caught by the supervisor in `worker_loop`.
-        std::panic::panic_any(InjectedCrash);
-    }
-    let res = &inner.cfg.resilience;
-
     // Cache lookup under the key's shard lock only; the expensive build
     // outside any lock. Coalescing guarantees one execution per key at a
     // time, so two workers never race to build the same entry.
     let cached = inner.cache.get(key);
-    let (disposition, value, degraded, stale) = match cached {
-        Some(entry) => {
-            let age_ms = ms_between(entry.built_at, Instant::now());
-            match res.stale_ttl_ms {
-                Some(ttl) if age_ms > ttl && pressured => {
-                    // Stale-but-valid: past the soft TTL, but the deadline
-                    // budget cannot cover a refresh — serve it anyway.
-                    (CacheDisposition::Hit, entry.value, false, true)
-                }
-                Some(ttl) if age_ms > ttl => {
-                    // Refresh: rebuild and re-insert with a fresh age. The
-                    // rebuild is a template hit (same shape just aged out),
-                    // so only the schedule is recomputed.
-                    let built = build_pipeline(&key.config, &inner.templates, scratch, cancelled)?;
-                    let bytes = entry_bytes(&built.0, &built.1);
-                    inner.cache.insert(
-                        key.clone(),
-                        CacheEntry {
-                            value: built.clone(),
-                            built_at: Instant::now(),
-                        },
-                        bytes,
-                    );
-                    (CacheDisposition::Miss, built, false, false)
-                }
-                _ => (CacheDisposition::Hit, entry.value, false, false),
-            }
-        }
-        None if res.degrade && pressured => {
-            // Graceful degradation: more than half the budget is gone, so
-            // skip the optimizer (O0 compile). Degraded builds are *not*
-            // cached — the next unpressured request builds the real thing.
+    let mut graph = None;
+    let step = inner.cfg.resilience.cache_step(
+        cached
+            .as_ref()
+            .map(|e| ms_between(e.built_at, Instant::now())),
+        |_| pressured,
+        || {
+            // Only a miss that could degrade probes; its build reuses
+            // the graph the key needs.
+            let g = graph.insert(Arc::new(key.config.load_graph()));
+            TemplateKey::of(g, &key.config).is_some_and(|k| inner.templates.contains(&k))
+        },
+    );
+    let (_, run) = &match (step, cached) {
+        (CacheStep::Hit | CacheStep::Stale, Some(entry)) => entry.value,
+        // Degraded builds are *not* cached — the next unpressured
+        // request builds the real thing.
+        (CacheStep::MissO0, _) => {
             let o0 = RunConfig {
                 opt: OptLevel::O0,
                 ..key.config.clone()
             };
-            let built = build_pipeline(&o0, &inner.templates, scratch, cancelled)?;
-            (CacheDisposition::Miss, built, true, false)
+            build_pipeline(&o0, graph, &inner.templates, scratch, cancelled)?
         }
-        None => {
-            let built = build_pipeline(&key.config, &inner.templates, scratch, cancelled)?;
+        // A miss, or a refresh re-inserted with a fresh age.
+        _ => {
+            let built = build_pipeline(&key.config, graph, &inner.templates, scratch, cancelled)?;
             let bytes = entry_bytes(&built.0, &built.1);
-            inner.cache.insert(
-                key.clone(),
-                CacheEntry {
-                    value: built.clone(),
-                    built_at: Instant::now(),
-                },
-                bytes,
-            );
-            (CacheDisposition::Miss, built, false, false)
+            let entry = CacheEntry {
+                value: built.clone(),
+                built_at: Instant::now(),
+            };
+            inner.cache.insert(key.clone(), entry, bytes);
+            built
         }
     };
-
-    let (_, run) = &value;
+    // Counted once the step is taken: an unbuildable config never takes
+    // one, exactly as on the sim clock.
+    if step.is_degraded() {
+        let mut state = inner.state.lock().expect("server state poisoned");
+        state.resilience.count_step(step);
+    }
     let profiler = key.gpu.profiler(&inner.cfg.opts, key.config.dataset);
     let link = Interconnect::nvlink().degraded(draw.link_factor);
     let profile = Arc::new(run.profile_with_link(profiler.as_ref(), link));
@@ -1118,11 +1112,14 @@ fn run_attempt(
     if draw.slow_factor > 1.0 {
         std::thread::sleep(started.elapsed().mul_f64(draw.slow_factor - 1.0));
     }
+    // An injected worker crash: a real panic-unwind through the execution
+    // path, caught by the supervisor in `worker_loop`.
+    if draw.crash {
+        std::panic::panic_any(InjectedCrash);
+    }
     // Injected transient failure: the work happened, the result is lost.
     if draw.transient {
-        return Err(AttemptError::Transient(
-            "injected transient fault".to_string(),
-        ));
+        return Err(AttemptError::Transient);
     }
 
     Ok(AttemptSuccess {
@@ -1133,9 +1130,7 @@ fn run_attempt(
             .map(|s| s.max_shard_peak_bytes())
             .unwrap_or(0),
         profile,
-        cache: disposition,
-        degraded,
-        stale,
+        step,
     })
 }
 
@@ -1226,7 +1221,7 @@ fn run_merged_batch(inner: &Inner, jobs: Vec<Job>, scratch: &mut WorkerScratch) 
         Ok(res) => res,
         Err(_payload) => {
             let mut state = inner.state.lock().expect("server state poisoned");
-            state.crashed += 1;
+            state.resilience.crashed += 1;
             state.respawns += 1;
             Err("worker crashed during merged batch build".to_string())
         }
@@ -1354,19 +1349,17 @@ fn worker_loop(inner: &Inner) {
         let expired = |at: Instant| deadline_ms.is_some_and(|d| ms_between(anchor, at) >= d);
 
         let mut attempt: u32 = 0;
-        let mut retries_used: u32 = 0;
+        let mut any_crash = false;
+        let mut queued_out = false;
         let mut reject: Option<RejectReason> = None;
-        let mut success: Option<AttemptSuccess> = None;
-        let mut error_msg: Option<String> = None;
-
-        loop {
+        let result: Result<AttemptSuccess, String> = loop {
             // Deadline checkpoint before (each) dispatch: a request that
             // aged out in the queue, or between retries, fails without
             // doing the work.
             if expired(Instant::now()) {
+                queued_out = attempt == 0;
                 reject = Some(RejectReason::DeadlineExceeded);
-                error_msg = Some("deadline exceeded".to_string());
-                break;
+                break Err("deadline exceeded".to_string());
             }
             let draw = plan.map_or_else(FaultDraw::healthy, |p| p.draw(request_index, attempt));
             if draw.evict > 0 {
@@ -1374,6 +1367,8 @@ fn worker_loop(inner: &Inner) {
                 // attempt's cache lookup.
                 inner.cache.evict_lru(draw.evict);
             }
+            // This clock's deadline pressure: over half the budget is
+            // spent before the attempt starts.
             let pressured =
                 deadline_ms.is_some_and(|d| ms_between(anchor, Instant::now()) > 0.5 * d);
 
@@ -1385,82 +1380,60 @@ fn worker_loop(inner: &Inner) {
                     expired(Instant::now())
                 })
             }));
-            let result = match caught {
-                Ok(r) => r,
-                Err(_payload) => {
-                    let mut state = inner.state.lock().expect("server state poisoned");
-                    state.crashed += 1;
-                    state.respawns += 1;
-                    Err(AttemptError::Crash)
-                }
-            };
-
-            // Feed the breaker every definitive attempt outcome (a
-            // cancelled build says nothing about the config's health).
-            if res.breaker.is_some() && !matches!(result, Err(AttemptError::Cancelled)) {
-                let now_ms = ms_between(inner.epoch, Instant::now());
-                let ok = result.is_ok();
+            let outcome = caught.unwrap_or_else(|_payload| {
                 let mut state = inner.state.lock().expect("server state poisoned");
-                if let Some((_, b)) = state.breakers.iter_mut().find(|(k, _)| *k == job.key) {
-                    b.record(now_ms, ok);
+                state.resilience.crashed += 1;
+                state.respawns += 1;
+                Err(AttemptError::Crash)
+            });
+            match outcome {
+                // The work finished after the budget (e.g. an injected
+                // slowdown): the result is cached, but this request
+                // already missed its deadline.
+                Ok(_) if expired(Instant::now()) => {
+                    reject = Some(RejectReason::DeadlineExceeded);
+                    break Err("deadline exceeded".to_string());
                 }
-            }
-
-            match result {
-                Ok(s) => {
-                    if expired(Instant::now()) {
-                        // The work finished after the budget (e.g. an
-                        // injected slowdown): the result is cached, but
-                        // this request already missed its deadline.
-                        reject = Some(RejectReason::DeadlineExceeded);
-                        error_msg = Some("deadline exceeded".to_string());
-                    } else {
-                        success = Some(s);
-                    }
-                    break;
-                }
+                Ok(s) => break Ok(s),
                 Err(AttemptError::Cancelled) => {
                     reject = Some(RejectReason::DeadlineExceeded);
-                    error_msg = Some("deadline exceeded during build".to_string());
-                    break;
+                    break Err("deadline exceeded during build".to_string());
                 }
-                Err(AttemptError::Permanent(msg)) => {
-                    error_msg = Some(msg);
-                    break;
-                }
+                Err(AttemptError::Permanent(msg)) => break Err(msg),
                 Err(retryable) => {
-                    if retries_used < res.retry.max_retries {
-                        retries_used += 1;
-                        {
-                            let mut state = inner.state.lock().expect("server state poisoned");
-                            state.retries += 1;
-                        }
-                        let jitter = plan.map_or(0.5, |p| p.jitter(request_index, attempt + 1));
-                        let backoff_ms = res.retry.backoff_ms(retries_used, jitter);
+                    any_crash |= matches!(retryable, AttemptError::Crash);
+                    if let Some(backoff_ms) =
+                        res.retry_after_ms(plan.as_ref(), request_index, attempt)
+                    {
+                        inner
+                            .state
+                            .lock()
+                            .expect("server state poisoned")
+                            .resilience
+                            .retries += 1;
                         std::thread::sleep(std::time::Duration::from_secs_f64(backoff_ms / 1e3));
                         attempt += 1;
                         continue;
                     }
-                    match retryable {
-                        AttemptError::Transient(msg) => error_msg = Some(msg),
-                        AttemptError::Crash => {
-                            reject = Some(RejectReason::Crashed);
-                            error_msg = Some("worker crashed (injected fault)".to_string());
-                        }
-                        _ => unreachable!("permanent/cancelled handled above"),
+                    if any_crash {
+                        reject = Some(RejectReason::Crashed);
+                        break Err("worker crashed (injected fault)".to_string());
                     }
-                    break;
+                    break Err("injected transient fault".to_string());
                 }
             }
-        }
+        };
 
         let finished = Instant::now();
         let service_ms = ms_between(dispatched, finished);
-        let (outcome, disposition, degraded): (Result<Arc<PipelineProfile>, String>, _, bool) =
-            match (&success, &error_msg) {
-                (Some(s), _) => (Ok(Arc::clone(&s.profile)), s.cache, s.degraded || s.stale),
-                (None, Some(msg)) => (Err(msg.clone()), CacheDisposition::Miss, false),
-                (None, None) => unreachable!("every exit sets success or error"),
+        let (outcome, disposition, degraded): (Result<Arc<PipelineProfile>, String>, _, _) =
+            match &result {
+                Ok(s) => (
+                    Ok(Arc::clone(&s.profile)),
+                    s.step.disposition(),
+                    s.step.is_degraded(),
+                ),
+                Err(msg) => (Err(msg.clone()), CacheDisposition::Miss, false),
             };
 
         // Collect the waiters that coalesced during execution and deliver.
@@ -1473,19 +1446,22 @@ fn worker_loop(inner: &Inner) {
                 .expect("executing entry registered at dispatch");
             let (_, waiters) = state.executing.swap_remove(i);
             state.completed += (job.waiters.len() + waiters.len()) as u64;
-            if let Some(s) = &success {
+            if let Ok(s) = &result {
                 state.peak_device_bytes = state.peak_device_bytes.max(s.peak_device_bytes);
                 state.shard_peak_device_bytes =
                     state.shard_peak_device_bytes.max(s.shard_peak_device_bytes);
-                if s.degraded {
-                    state.degraded += 1;
-                }
-                if s.stale {
-                    state.stale_serves += 1;
-                }
             }
             if reject == Some(RejectReason::DeadlineExceeded) {
-                state.timeouts += 1;
+                state.resilience.timeouts += 1;
+            }
+            // One breaker outcome per dispatched request, recorded before
+            // delivery; a request that expired in the queue says nothing
+            // about its config.
+            if !queued_out {
+                let now_ms = ms_between(inner.epoch, finished);
+                if let Some((_, b)) = state.breakers.iter_mut().find(|(k, _)| *k == job.key) {
+                    b.record(now_ms, result.is_ok());
+                }
             }
             waiters
         };
@@ -1502,7 +1478,7 @@ fn worker_loop(inner: &Inner) {
                 cache: disposition,
                 reject,
                 degraded,
-                retries: retries_used,
+                retries: attempt,
                 batch: 1,
                 queue_ms: ms_between(waiter.submitted, dispatched).max(0.0),
                 service_ms,
@@ -1569,6 +1545,29 @@ mod tests {
         // Bit-identical profiles: same pipeline, same profiler.
         assert_eq!(first.outcome.unwrap(), second.outcome.unwrap());
         assert!(server.stats().cache.hit_rate() > 0.0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn expired_entries_refresh_and_report_a_hit() {
+        // Every entry is past a zero soft TTL, and with no deadline there
+        // is no pressure: the repeat rebuilds in line and re-inserts.
+        let server = Server::start(ServeConfig {
+            resilience: ResilienceConfig {
+                stale_ttl_ms: Some(0.0),
+                ..ResilienceConfig::default()
+            },
+            ..ServeConfig::golden()
+        });
+        let req = golden_request("model=gcn dataset=cora scale=0.05");
+        let first = server.submit(req.clone()).unwrap().recv().unwrap();
+        let second = server.submit(req).unwrap().recv().unwrap();
+        assert_eq!(first.cache, CacheDisposition::Miss);
+        assert_eq!(second.cache, CacheDisposition::Hit, "a refresh is a hit");
+        assert!(!second.degraded);
+        let stats = server.stats();
+        assert_eq!((stats.cache.hits, stats.cache.insertions), (1, 2));
+        assert_eq!(stats.stale_serves, 0);
         server.shutdown();
     }
 

@@ -217,56 +217,78 @@ fn parse_positive(args: &[String], i: usize) -> Result<usize, String> {
     Ok(n)
 }
 
-/// Parses `--fault-rate`'s value: a probability scale in (0, 1].
-fn parse_fault_rate(args: &[String], i: usize) -> Result<f64, String> {
-    let r: f64 = parse_num(take_value(args, i)?, "--fault-rate", "a rate in (0, 1]")?;
-    if !(r > 0.0 && r <= 1.0) {
-        return Err("--fault-rate expects a rate in (0, 1]".to_string());
-    }
-    Ok(r)
+/// The serving flags `serve` and `loadgen` share: `--fault-seed`,
+/// `--fault-rate`, `--batch`, `--batch-delay-ms` and `--batch-backlog`.
+#[derive(Default)]
+struct ServingFlags {
+    fault_seed: Option<u64>,
+    fault_rate: Option<f64>,
+    batch_max: Option<usize>,
+    batch_delay: Option<f64>,
+    batch_backlog: Option<usize>,
 }
 
-/// Resolves `--fault-seed` / `--fault-rate` into a mixed fault plan.
-/// The seed is the opt-in; a rate without one is a mistake, not a plan.
-fn resolve_fault(seed: Option<u64>, rate: Option<f64>) -> Result<Option<FaultPlan>, String> {
-    match (seed, rate) {
-        (Some(seed), rate) => Ok(Some(FaultPlan::mixed(seed, rate.unwrap_or(0.1)))),
-        (None, Some(_)) => Err("--fault-rate only applies with --fault-seed N".to_string()),
-        (None, None) => Ok(None),
-    }
-}
-
-/// Resolves `--batch` / `--batch-delay-ms` / `--batch-backlog` into a
-/// cross-request batching policy. `--batch N` is the opt-in; the other
-/// two refine its forming window and admission bound.
-fn resolve_batch(
-    max: Option<usize>,
-    delay_ms: Option<f64>,
-    backlog: Option<usize>,
-) -> Result<Option<BatchPolicy>, String> {
-    match (max, delay_ms, backlog) {
-        (None, None, None) => Ok(None),
-        (None, ..) => {
-            Err("--batch-delay-ms / --batch-backlog only apply with --batch N".to_string())
+impl ServingFlags {
+    /// Parses `args[i]` and its value when it is one of the shared flags;
+    /// returns whether it was.
+    fn parse(&mut self, args: &[String], i: usize) -> Result<bool, String> {
+        match args[i].as_str() {
+            "--fault-seed" => {
+                let seed = parse_num(take_value(args, i)?, "--fault-seed", "an integer")?;
+                self.fault_seed = Some(seed);
+            }
+            "--fault-rate" => {
+                // A probability scale in (0, 1].
+                let r: f64 = parse_num(take_value(args, i)?, "--fault-rate", "a rate in (0, 1]")?;
+                if !(r > 0.0 && r <= 1.0) {
+                    return Err("--fault-rate expects a rate in (0, 1]".to_string());
+                }
+                self.fault_rate = Some(r);
+            }
+            "--batch" => self.batch_max = Some(parse_positive(args, i)?),
+            "--batch-delay-ms" => {
+                let d: f64 = parse_num(take_value(args, i)?, "--batch-delay-ms", "milliseconds")?;
+                if d < 0.0 {
+                    return Err("--batch-delay-ms expects a non-negative window".to_string());
+                }
+                self.batch_delay = Some(d);
+            }
+            "--batch-backlog" => {
+                let n = parse_num(take_value(args, i)?, "--batch-backlog", "an integer")?;
+                self.batch_backlog = Some(n);
+            }
+            _ => return Ok(false),
         }
-        (Some(max_batch), delay, backlog) => {
-            let defaults = BatchPolicy::default();
-            Ok(Some(BatchPolicy {
-                max_batch,
-                max_queue_delay_ms: delay.unwrap_or(defaults.max_queue_delay_ms),
-                max_backlog: backlog.unwrap_or(defaults.max_backlog),
-            }))
-        }
+        Ok(true)
     }
-}
 
-/// Parses `--batch-delay-ms`'s value: a non-negative window.
-fn parse_batch_delay(args: &[String], i: usize) -> Result<f64, String> {
-    let d: f64 = parse_num(take_value(args, i)?, "--batch-delay-ms", "milliseconds")?;
-    if d < 0.0 {
-        return Err("--batch-delay-ms expects a non-negative window".to_string());
+    /// Resolves the flags into a mixed fault plan and a cross-request
+    /// batching policy. `--fault-seed` is the fault opt-in: a rate without
+    /// one is a mistake, not a plan. `--batch N` is the batching opt-in;
+    /// `--batch-delay-ms` and `--batch-backlog` refine its forming window
+    /// and admission bound.
+    fn resolve(self) -> Result<(Option<FaultPlan>, Option<BatchPolicy>), String> {
+        let fault = match (self.fault_seed, self.fault_rate) {
+            (Some(seed), rate) => Some(FaultPlan::mixed(seed, rate.unwrap_or(0.1))),
+            (None, Some(_)) => return Err("--fault-rate only applies with --fault-seed N".into()),
+            (None, None) => None,
+        };
+        let batch = match (self.batch_max, self.batch_delay, self.batch_backlog) {
+            (None, None, None) => None,
+            (None, ..) => {
+                return Err("--batch-delay-ms / --batch-backlog only apply with --batch N".into())
+            }
+            (Some(max_batch), delay, backlog) => {
+                let defaults = BatchPolicy::default();
+                Some(BatchPolicy {
+                    max_batch,
+                    max_queue_delay_ms: delay.unwrap_or(defaults.max_queue_delay_ms),
+                    max_backlog: backlog.unwrap_or(defaults.max_backlog),
+                })
+            }
+        };
+        Ok((fault, batch))
     }
-    Ok(d)
 }
 
 /// `gsuite-cli run-scenario ...`: list, filter or execute registry
@@ -545,13 +567,13 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         workers: gsuite_par::default_threads(),
         ..ServeConfig::default()
     };
-    let mut fault_seed: Option<u64> = None;
-    let mut fault_rate: Option<f64> = None;
-    let mut batch_max: Option<usize> = None;
-    let mut batch_delay: Option<f64> = None;
-    let mut batch_backlog: Option<usize> = None;
+    let mut serving = ServingFlags::default();
     let mut i = 0;
     while i < args.len() {
+        if serving.parse(args, i)? {
+            i += 2;
+            continue;
+        }
         match args[i].as_str() {
             "--help" | "-h" => {
                 print_help();
@@ -578,34 +600,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
                 cfg.cache_bytes = mb << 20;
                 i += 2;
             }
-            "--fault-seed" => {
-                fault_seed = Some(parse_num(
-                    take_value(args, i)?,
-                    "--fault-seed",
-                    "an integer",
-                )?);
-                i += 2;
-            }
-            "--fault-rate" => {
-                fault_rate = Some(parse_fault_rate(args, i)?);
-                i += 2;
-            }
-            "--batch" => {
-                batch_max = Some(parse_positive(args, i)?);
-                i += 2;
-            }
-            "--batch-delay-ms" => {
-                batch_delay = Some(parse_batch_delay(args, i)?);
-                i += 2;
-            }
-            "--batch-backlog" => {
-                batch_backlog = Some(parse_num(
-                    take_value(args, i)?,
-                    "--batch-backlog",
-                    "an integer",
-                )?);
-                i += 2;
-            }
             "--quick" => {
                 cfg.opts.quick = true;
                 cfg.opts.full = false;
@@ -626,8 +620,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    cfg.fault = resolve_fault(fault_seed, fault_rate)?;
-    cfg.batch = resolve_batch(batch_max, batch_delay, batch_backlog)?;
+    (cfg.fault, cfg.batch) = serving.resolve()?;
     println!(
         "gsuite-serve: {} workers, queue depth {}, cache {} MiB, {} scales{}",
         cfg.workers,
@@ -663,13 +656,13 @@ fn parse_loadgen_args(args: &[String]) -> Result<Option<LoadgenArgs>, String> {
     let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut metrics = false;
-    let mut fault_seed: Option<u64> = None;
-    let mut fault_rate: Option<f64> = None;
-    let mut batch_max: Option<usize> = None;
-    let mut batch_delay: Option<f64> = None;
-    let mut batch_backlog: Option<usize> = None;
+    let mut serving = ServingFlags::default();
     let mut i = 0;
     while i < args.len() {
+        if serving.parse(args, i)? {
+            i += 2;
+            continue;
+        }
         match args[i].as_str() {
             "--help" | "-h" => {
                 print_help();
@@ -733,18 +726,6 @@ fn parse_loadgen_args(args: &[String]) -> Result<Option<LoadgenArgs>, String> {
                 spec.slo_ms = Some(parse_num(take_value(args, i)?, "--slo-ms", "milliseconds")?);
                 i += 2;
             }
-            "--fault-seed" => {
-                fault_seed = Some(parse_num(
-                    take_value(args, i)?,
-                    "--fault-seed",
-                    "an integer",
-                )?);
-                i += 2;
-            }
-            "--fault-rate" => {
-                fault_rate = Some(parse_fault_rate(args, i)?);
-                i += 2;
-            }
             "--deadline-ms" => {
                 let d: f64 = parse_num(take_value(args, i)?, "--deadline-ms", "milliseconds")?;
                 if d <= 0.0 {
@@ -761,22 +742,6 @@ fn parse_loadgen_args(args: &[String]) -> Result<Option<LoadgenArgs>, String> {
             "--breaker" => {
                 spec.resilience.breaker = Some(BreakerConfig::default());
                 i += 1;
-            }
-            "--batch" => {
-                batch_max = Some(parse_positive(args, i)?);
-                i += 2;
-            }
-            "--batch-delay-ms" => {
-                batch_delay = Some(parse_batch_delay(args, i)?);
-                i += 2;
-            }
-            "--batch-backlog" => {
-                batch_backlog = Some(parse_num(
-                    take_value(args, i)?,
-                    "--batch-backlog",
-                    "an integer",
-                )?);
-                i += 2;
             }
             "--connect" => {
                 connect = Some(take_value(args, i)?.to_string());
@@ -825,8 +790,7 @@ fn parse_loadgen_args(args: &[String]) -> Result<Option<LoadgenArgs>, String> {
             }
         }
     }
-    spec.fault = resolve_fault(fault_seed, fault_rate)?;
-    spec.batch = resolve_batch(batch_max, batch_delay, batch_backlog)?;
+    (spec.fault, spec.batch) = serving.resolve()?;
     Ok(Some(LoadgenArgs {
         spec,
         connect,

@@ -13,6 +13,9 @@
 //! 4. **Cancellation hygiene** — a deadline that cancels a build mid-way
 //!    leaves the pipeline cache and device-memory accounting exactly as
 //!    if the request had never arrived.
+//! 5. **One policy, two clocks** — the sim clock and the live server
+//!    apply the same retry, crash and breaker rules: one stream under
+//!    one fault plan yields the same counters on both.
 
 use proptest::prelude::*;
 
@@ -21,7 +24,9 @@ use gsuite::serve::fault::{
     BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, FaultSpec, RejectReason,
     ResilienceConfig, RetryPolicy,
 };
-use gsuite::serve::{run_loadgen, LoadSpec, ServeConfig, ServeRequest, Server};
+use gsuite::serve::{
+    run_loadgen, ArrivalMode, ClockMode, LoadSpec, ServeConfig, ServeRequest, Server,
+};
 
 // ---------------------------------------------------------------------------
 // 1. Fault replay determinism (the acceptance criterion).
@@ -329,4 +334,75 @@ fn cancelled_deadline_leaves_cache_and_memory_accounting_consistent() {
     assert_eq!(a.shard_peak_device_bytes, b.shard_peak_device_bytes);
     server_a.shutdown();
     server_b.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// 5. One resilience policy under both clocks.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn sim_and_wall_clocks_apply_one_policy() {
+    // One closed-loop client and one worker fix the submission order, so
+    // both clocks draw the same faults for the same request indices.
+    // Slowdowns, eviction storms, deadlines and TTLs stay out: they depend
+    // on wall time or on the server's shard layout.
+    let spec = |clock| LoadSpec {
+        scenario: "serve-mix".to_string(),
+        seed: 42,
+        requests: 48,
+        arrival: ArrivalMode::Closed { clients: 1 },
+        clock,
+        workers: 1,
+        cache_bytes: 1 << 30,
+        fault: Some(FaultPlan {
+            seed: 11,
+            spec: FaultSpec {
+                transient_rate: 0.3,
+                crash_rate: 0.15,
+                ..FaultSpec::none()
+            },
+        }),
+        resilience: ResilienceConfig {
+            retry: RetryPolicy::retries(2),
+            breaker: Some(BreakerConfig {
+                window: 2,
+                min_samples: 2,
+                fail_threshold: 0.5,
+                cooldown_ms: 1e12,
+                half_open_probes: 1,
+            }),
+            ..ResilienceConfig::default()
+        },
+        opts: BenchOpts::golden(),
+        ..LoadSpec::default()
+    };
+    let sim = run_loadgen(&spec(ClockMode::Sim)).expect("sim loadgen runs");
+    let wall = run_loadgen(&spec(ClockMode::Wall)).expect("wall loadgen runs");
+
+    let counters = |r: &gsuite::serve::LoadReport| {
+        let c = &r.cache;
+        (
+            (r.completed, r.errors, r.rejected, r.coalesced),
+            r.resilience,
+            (c.hits, c.misses, c.insertions, c.evictions),
+            (c.entries, c.bytes_in_use),
+        )
+    };
+    assert_eq!(
+        counters(&sim),
+        counters(&wall),
+        "{}{}",
+        sim.render(),
+        wall.render()
+    );
+
+    // The sim side is the reference the wall server now follows.
+    let res = sim.resilience;
+    assert_eq!((sim.completed, sim.errors), (43, 6));
+    assert_eq!((res.retries, res.crashed), (17, 8));
+    assert_eq!((res.breaker_trips, res.circuit_open), (3, 5));
+    assert_eq!(
+        (sim.cache.hits, sim.cache.misses, sim.cache.insertions),
+        (43, 17, 12)
+    );
 }

@@ -450,6 +450,43 @@ fn qos_keys_round_trip_and_reject_codes_are_typed() {
 }
 
 #[test]
+fn overlong_request_lines_are_answered_and_skipped() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind ephemeral");
+    let addr = listener.local_addr().expect("local addr");
+    let serve_thread =
+        std::thread::spawn(move || serve_on(listener, ServeConfig::golden()).expect("serves"));
+
+    let mut writer = std::net::TcpStream::connect(addr).expect("connect");
+    // A server that never answers fails the test instead of hanging it.
+    let timeout = Some(std::time::Duration::from_secs(30));
+    writer.set_read_timeout(timeout).expect("read timeout");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let mut line = String::new();
+    // 100 000 bytes and no newline: answered once the 64 KiB limit is hit.
+    writer.write_all(&[b'a'; 100_000]).expect("write");
+    reader.read_line(&mut line).expect("err line");
+    assert_eq!(
+        line.trim_end(),
+        r#"err id=- msg="request line longer than 65536 bytes""#
+    );
+    // The rest of that line is skipped; the connection keeps serving.
+    writer
+        .write_all(b"\nmodel=gcn dataset=cora scale=0.05\n")
+        .expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("ok line");
+    assert!(line.starts_with("ok id=0 cache=miss "), "{line}");
+
+    writer.write_all(b"shutdown\n").expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("bye");
+    assert_eq!(line.trim_end(), "ok bye");
+    serve_thread.join().expect("server exits cleanly");
+}
+
+#[test]
 fn idle_connections_do_not_block_shutdown() {
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind ephemeral");
     let addr = listener.local_addr().expect("local addr").to_string();
