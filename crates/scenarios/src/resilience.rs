@@ -588,6 +588,16 @@ impl RejectReason {
         }
     }
 
+    /// Whether the request was shed before any work ran (a full queue,
+    /// an open breaker, the batch backlog): every loadgen clock counts
+    /// it as shed, not as a completed error.
+    pub fn is_shed(self) -> bool {
+        matches!(
+            self,
+            RejectReason::QueueFull | RejectReason::CircuitOpen | RejectReason::BatchBacklog
+        )
+    }
+
     /// Parses a wire code back into the reason.
     pub fn parse(code: &str) -> Option<Self> {
         match code {

@@ -149,7 +149,6 @@ fn ego_costs(result: &ScenarioResult, opts: &BenchOpts) -> Vec<SimCosts> {
             let pair = [config.clone(), config.clone()];
             let (pair_run, _) = PipelineRun::build_merged(graph, &pair).expect("pair probe");
             let pair_ms = pair_run.profile(&profiler).total_time_ms();
-            let marginal_ms = (pair_ms - alone_ms).clamp(0.0, alone_ms);
             let bytes = (parts[0].nodes * (feature_len * 4 + 8) + parts[0].edges * 8 + 512) as u64;
             costs.push(SimCosts {
                 service_ms: alone_ms,
@@ -157,11 +156,7 @@ fn ego_costs(result: &ScenarioResult, opts: &BenchOpts) -> Vec<SimCosts> {
                 exchange_ms: 0.0,
                 bytes,
                 template: None,
-                batch: Some(SimBatch {
-                    group,
-                    fixed_ms: alone_ms - marginal_ms,
-                    marginal_ms,
-                }),
+                batch: Some(SimBatch::two_point(group, alone_ms, pair_ms)),
                 error: None,
             });
         }

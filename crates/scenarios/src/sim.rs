@@ -130,9 +130,9 @@ pub struct SimCosts {
 /// service time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimBatch {
-    /// Merge-class id: only configurations with equal `group` may share
-    /// a batched Plan (the sim-side mirror of
-    /// `plan::batchmerge::merge_class`).
+    /// Merge-key id: only configurations with equal `group` may share a
+    /// batched Plan (the live server's merge key: one
+    /// `plan::batchmerge::merge_class` on one GPU).
     pub group: usize,
     /// The batch-invariant share of [`SimCosts::service_ms`] (op
     /// dispatch, framework wrapper overhead): a merged execution pays
@@ -142,6 +142,20 @@ pub struct SimBatch {
     /// own rows of the block-diagonal batch): every merged member pays
     /// its own.
     pub marginal_ms: f64,
+}
+
+impl SimBatch {
+    /// The split of a configuration measured alone and merged with
+    /// itself: the pair's extra time, clamped into `[0, alone]`, is the
+    /// marginal share, and the rest of `alone_ms` the fixed one.
+    pub fn two_point(group: usize, alone_ms: f64, pair_ms: f64) -> SimBatch {
+        let marginal_ms = (pair_ms - alone_ms).clamp(0.0, alone_ms);
+        SimBatch {
+            group,
+            fixed_ms: alone_ms - marginal_ms,
+            marginal_ms,
+        }
+    }
 }
 
 /// The modeled graph-load + pipeline-build cost charged on a cache miss in
@@ -1401,11 +1415,14 @@ pub enum FormerEvent {
     Shed(BatchArrival),
 }
 
-/// The pure, streaming cross-request batch former: arrivals go in (in
-/// nondecreasing time order), dispatch and shed decisions come out.
-/// It holds only the currently forming batches — `O(max_backlog)` or
-/// `O(live merge classes)` state, never the arrival history — so a
-/// million-request stream forms batches in bounded memory.
+/// The pure, streaming cross-request batch former: arrivals and timer
+/// ticks go in (in nondecreasing time order), dispatch and shed
+/// decisions come out. Both serving clocks drive this one former, in
+/// front of their queue: the DES with its arrival stream, the live
+/// server with its submissions. It holds only the currently forming
+/// batches — `O(max_backlog)` or `O(live merge classes)` state, never
+/// the arrival history — so a million-request stream forms batches in
+/// bounded memory.
 ///
 /// Guarantees, for any arrival sequence and policy (property-tested
 /// against a brute-force reference in `tests/batchserve.rs`):
@@ -1420,7 +1437,7 @@ pub enum FormerEvent {
 ///   membership, or a shed).
 ///
 /// Formation is key-agnostic: duplicate keys consume member slots like
-/// any other arrival (the simulation coalesces them at execution).
+/// any other arrival (both clocks coalesce them at execution).
 pub struct BatchFormer {
     policy: BatchPolicy,
     /// Forming batches in head-arrival order; heads — and therefore
@@ -1443,23 +1460,24 @@ impl BatchFormer {
         }
     }
 
-    /// Number of currently forming batches (the admission-control
-    /// backlog).
-    pub fn backlog(&self) -> usize {
-        self.open.len()
+    /// When the oldest forming batch's delay budget runs out — the next
+    /// time [`BatchFormer::expire`] has work — or `None` with nothing
+    /// forming.
+    pub fn next_expiry(&self) -> Option<f64> {
+        let delay = self.policy.max_queue_delay_ms;
+        self.open.first().map(|b| b.head_ms + delay)
     }
 
-    /// Feeds the next arrival (nondecreasing `at_ms`), emitting any
-    /// batches whose delay budget expired first, then the arrival's own
-    /// resolution if it has one now.
-    pub fn offer(&mut self, arrival: BatchArrival, emit: &mut dyn FnMut(FormerEvent)) {
+    /// A timer tick at `now_ms` (nondecreasing, like arrivals): every
+    /// batch whose delay budget ran out by then dispatches, oldest head
+    /// first.
+    pub fn expire(&mut self, now_ms: f64, emit: &mut dyn FnMut(FormerEvent)) {
         let delay = self.policy.max_queue_delay_ms;
-        // Expired batches form a prefix (heads are nondecreasing). A
-        // tie dispatches without the arrival: the timer fired first.
+        // Expired batches form a prefix (heads are nondecreasing).
         while self
             .open
             .first()
-            .is_some_and(|b| b.head_ms + delay <= arrival.at_ms)
+            .is_some_and(|b| b.head_ms + delay <= now_ms)
         {
             let b = self.open.remove(0);
             emit(FormerEvent::Dispatch(FormedBatch {
@@ -1468,6 +1486,14 @@ impl BatchFormer {
                 members: b.members,
             }));
         }
+    }
+
+    /// Feeds the next arrival (nondecreasing `at_ms`), emitting any
+    /// batches whose delay budget expired first, then the arrival's own
+    /// resolution if it has one now.
+    pub fn offer(&mut self, arrival: BatchArrival, emit: &mut dyn FnMut(FormerEvent)) {
+        // A tie dispatches without the arrival: the timer fired first.
+        self.expire(arrival.at_ms, emit);
         let singleton = |a: BatchArrival| {
             let t = a.at_ms;
             FormerEvent::Dispatch(FormedBatch {

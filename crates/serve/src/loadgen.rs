@@ -26,11 +26,11 @@ use gsuite_scenarios::{registry, BenchOpts, LruStats};
 use gsuite_telemetry::metrics::LATENCY_BUCKETS_MS;
 use gsuite_telemetry::{Attr, ClockDomain, MetricsRegistry, SpanSink, Trace};
 
-use gsuite_core::plan::batchmerge::{merge_class, MergeClass};
-
-use crate::fault::{FaultPlan, ResilienceConfig, ResilienceSummary};
+use crate::fault::{FaultPlan, RejectReason, ResilienceConfig, ResilienceSummary};
 use crate::request::ServeRequest;
-use crate::server::{entry_bytes, Completion, ServeConfig, Server, SubmitError};
+use crate::server::{
+    entry_bytes, intern, merge_key, metric_help, Completion, ServeConfig, Server, SubmitError,
+};
 use crate::sim::{
     build_cost_ms, simulate, Arrivals, BatchPolicy, SimBatch, SimCosts, SimDisposition, SimParams,
     SpanProfile,
@@ -119,10 +119,10 @@ pub struct LoadSpec {
     pub resilience: ResilienceConfig,
     /// Cross-request batching policy. `None` (the default) serves every
     /// request alone and keeps all reports byte-identical to the
-    /// unbatched format. `Some` requires open-loop arrivals: compatible
-    /// queued requests merge into one batched Plan execution
-    /// ([`crate::sim::simulate`]'s batch former on the sim clock, the
-    /// server's on the wall clock).
+    /// unbatched format. `Some` requires open-loop arrivals: both clocks
+    /// offer every request to one [`crate::sim::BatchFormer`] in front
+    /// of the queue, which merges compatible requests into one batched
+    /// Plan execution, so a stream forms the same batches on either.
     pub batch: Option<BatchPolicy>,
     /// Measurement options (scale policy, CTA caps).
     pub opts: BenchOpts,
@@ -584,150 +584,52 @@ impl LoadReport {
     /// is byte-stable wherever the report itself is.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        let c = |reg: &mut MetricsRegistry, name, help, v| reg.counter_add(name, help, v);
-        c(
-            &mut reg,
-            "gsuite_loadgen_completed_total",
-            "Delivered completions.",
-            self.completed,
-        );
-        c(
-            &mut reg,
-            "gsuite_loadgen_errors_total",
-            "Completions that were error responses.",
-            self.errors,
-        );
-        c(
-            &mut reg,
-            "gsuite_loadgen_rejected_total",
-            "Requests shed by the bounded queue.",
-            self.rejected,
-        );
-        c(
-            &mut reg,
-            "gsuite_loadgen_coalesced_total",
-            "Requests sharing an in-flight execution.",
-            self.coalesced,
-        );
-        c(
-            &mut reg,
-            "gsuite_cache_hits_total",
-            "Pipeline-cache lookup hits.",
-            self.cache.hits,
-        );
-        c(
-            &mut reg,
-            "gsuite_cache_misses_total",
-            "Pipeline-cache lookup misses.",
-            self.cache.misses,
-        );
-        c(
-            &mut reg,
-            "gsuite_cache_evictions_total",
-            "Pipeline-cache evictions.",
-            self.cache.evictions,
-        );
         let r = &self.resilience;
-        c(
-            &mut reg,
-            "gsuite_resilience_retries_total",
-            "Retry attempts performed.",
-            r.retries,
-        );
-        c(
-            &mut reg,
-            "gsuite_resilience_timeouts_total",
-            "Requests failed on an expired deadline.",
-            r.timeouts,
-        );
-        c(
-            &mut reg,
-            "gsuite_resilience_crashed_total",
-            "Requests failed by worker crashes.",
-            r.crashed,
-        );
-        c(
-            &mut reg,
-            "gsuite_resilience_breaker_trips_total",
-            "Circuit-breaker trips.",
-            r.breaker_trips,
-        );
-        c(
-            &mut reg,
-            "gsuite_resilience_circuit_open_total",
-            "Requests shed by an open circuit breaker.",
-            r.circuit_open,
-        );
-        c(
-            &mut reg,
-            "gsuite_resilience_degraded_total",
-            "Requests served by the O0 compile fallback.",
-            r.degraded,
-        );
-        c(
-            &mut reg,
-            "gsuite_resilience_stale_serves_total",
-            "Stale-but-valid cache serves past the soft TTL.",
-            r.stale_serves,
-        );
-        reg.gauge_set(
-            "gsuite_cache_bytes_in_use",
-            "Pipeline-cache bytes in use.",
-            self.cache.bytes_in_use as f64,
-        );
-        reg.gauge_set(
-            "gsuite_cache_entries",
-            "Pipeline-cache resident entries.",
-            self.cache.entries as f64,
-        );
-        reg.gauge_set(
-            "gsuite_loadgen_throughput_rps",
-            "Completed requests per second over the makespan.",
-            self.throughput_rps,
-        );
-        reg.gauge_set(
-            "gsuite_loadgen_makespan_ms",
-            "First-submission-to-last-completion milliseconds.",
-            self.makespan_ms,
-        );
-        for &l in &self.latencies_ms {
-            reg.histogram_observe(
-                "gsuite_loadgen_latency_ms",
-                "Completed-request latency (milliseconds).",
-                &LATENCY_BUCKETS_MS,
-                l,
-            );
-        }
+        let mut counters = vec![
+            ("gsuite_loadgen_completed_total", self.completed),
+            ("gsuite_loadgen_errors_total", self.errors),
+            ("gsuite_loadgen_rejected_total", self.rejected),
+            ("gsuite_loadgen_coalesced_total", self.coalesced),
+            ("gsuite_cache_hits_total", self.cache.hits),
+            ("gsuite_cache_misses_total", self.cache.misses),
+            ("gsuite_cache_evictions_total", self.cache.evictions),
+            ("gsuite_resilience_retries_total", r.retries),
+            ("gsuite_resilience_timeouts_total", r.timeouts),
+            ("gsuite_resilience_crashed_total", r.crashed),
+            ("gsuite_resilience_breaker_trips_total", r.breaker_trips),
+            ("gsuite_resilience_circuit_open_total", r.circuit_open),
+            ("gsuite_resilience_degraded_total", r.degraded),
+            ("gsuite_resilience_stale_serves_total", r.stale_serves),
+        ];
+        let mut gauges = vec![
+            ("gsuite_cache_bytes_in_use", self.cache.bytes_in_use as f64),
+            ("gsuite_cache_entries", self.cache.entries as f64),
+            ("gsuite_loadgen_throughput_rps", self.throughput_rps),
+            ("gsuite_loadgen_makespan_ms", self.makespan_ms),
+        ];
         if let Some(b) = &self.batch {
-            c(
-                &mut reg,
-                "gsuite_batch_dispatched_total",
-                "Batches dispatched by the cross-request former.",
-                b.batches,
-            );
-            c(
-                &mut reg,
-                "gsuite_batch_requests_total",
-                "Requests resolved through a dispatched batch.",
-                b.batched_requests,
-            );
-            c(
-                &mut reg,
-                "gsuite_batch_shed_total",
-                "Requests shed by the batch former's admission control.",
-                b.shed,
-            );
-            reg.gauge_set(
-                "gsuite_batch_avg_size",
-                "Mean members per dispatched batch.",
-                b.avg_size(),
-            );
+            counters.extend([
+                ("gsuite_batch_dispatched_total", b.batches),
+                ("gsuite_batch_requests_total", b.batched_requests),
+                ("gsuite_batch_shed_total", b.shed),
+            ]);
+            gauges.push(("gsuite_batch_avg_size", b.avg_size()));
             for (i, &n) in b.size_hist.iter().enumerate() {
                 if n > 0 {
                     let name = format!("gsuite_batch_size_{}_total", i + 1);
                     reg.counter_add(&name, "Dispatched batches of this size.", n);
                 }
             }
+        }
+        for (name, v) in counters {
+            reg.counter_add(name, metric_help(name), v);
+        }
+        for (name, v) in gauges {
+            reg.gauge_set(name, metric_help(name), v);
+        }
+        let latency = "gsuite_loadgen_latency_ms";
+        for &l in &self.latencies_ms {
+            reg.histogram_observe(latency, metric_help(latency), &LATENCY_BUCKETS_MS, l);
         }
         for (name, total) in &self.phases {
             let metric = format!("gsuite_phase_{}_ms", name.replace('.', "_"));
@@ -835,11 +737,10 @@ fn phase_totals(trace: &Trace) -> Vec<(String, f64)> {
 ///
 /// With `batched`, every mergeable configuration (see
 /// `plan::batchmerge::merge_class`) is additionally profiled as a
-/// merged **pair** of itself: the two-point measurement splits its solo
-/// service time into the batch-invariant `fixed_ms = 2·alone − pair`
-/// and the per-member `marginal_ms = pair − alone` shares (clamped into
-/// `[0, alone]`, so `fixed + marginal == alone` exactly) that the
-/// batched simulation charges merged executions. Unbatched runs
+/// merged **pair** of itself, and [`SimBatch::two_point`] splits its solo
+/// service time into the fixed and per-member shares that the batched
+/// simulation charges merged executions. Batch groups are the wall
+/// server's merge keys: one merge class on one GPU. Unbatched runs
 /// skip the pair builds entirely and produce the historical costs.
 fn sim_costs(
     universe: &[ServeRequest],
@@ -878,14 +779,12 @@ fn sim_costs(
                 };
                 let alone_ms = profile.total_time_ms();
                 let probe = if batched {
-                    merge_class(&req.config).and_then(|class| {
+                    merge_key(req).and_then(|group| {
                         let pair = [req.config.clone(), req.config.clone()];
                         gsuite_core::pipeline::PipelineRun::build_merged(&graph, &pair)
                             .ok()
                             .map(|(pair_run, _)| {
-                                let pair_ms = pair_run.profile(profiler.as_ref()).total_time_ms();
-                                let marginal = (pair_ms - alone_ms).clamp(0.0, alone_ms);
-                                (class, alone_ms - marginal, marginal)
+                                (group, pair_run.profile(profiler.as_ref()).total_time_ms())
                             })
                     })
                 } else {
@@ -941,30 +840,14 @@ fn sim_costs(
     // lower/optimize/decorate cost. Group ids are assigned in first-use
     // order, which keys them to the deterministic request stream.
     let mut groups: Vec<TemplateKey> = Vec::new();
-    // Merge-class ids for the batch former, likewise in first-use order.
-    let mut batch_groups: Vec<MergeClass> = Vec::new();
+    // Batch-former groups (the server's merge keys), likewise in
+    // first-use order.
+    let mut batch_groups = Vec::new();
     for (&k, (mut cost, spans, tkey, probe)) in referenced.iter().zip(profiled) {
-        cost.template = tkey.map(|key| match groups.iter().position(|g| *g == key) {
-            Some(id) => id,
-            None => {
-                groups.push(key);
-                groups.len() - 1
-            }
+        cost.template = tkey.map(|key| intern(&mut groups, key));
+        cost.batch = probe.map(|(group, pair_ms)| {
+            SimBatch::two_point(intern(&mut batch_groups, group), cost.service_ms, pair_ms)
         });
-        if let Some((class, fixed_ms, marginal_ms)) = probe {
-            let group = match batch_groups.iter().position(|g| *g == class) {
-                Some(id) => id,
-                None => {
-                    batch_groups.push(class);
-                    batch_groups.len() - 1
-                }
-            };
-            cost.batch = Some(SimBatch {
-                group,
-                fixed_ms,
-                marginal_ms,
-            });
-        }
         costs[k] = cost;
         profiles[k] = spans;
     }
@@ -1230,10 +1113,9 @@ fn run_wall(
                     let submit_ms = t0.elapsed().as_secs_f64() * 1e3;
                     let rx = match server.submit(universe[keys[i]].clone()) {
                         Ok(rx) => rx,
-                        // An open breaker or full batch backlog sheds this
-                        // request; the stream moves on (the server counts
-                        // the shed).
-                        Err(SubmitError::CircuitOpen | SubmitError::BatchBacklog) => {
+                        // A typed shed: the stream moves on (the server
+                        // counts the shed).
+                        Err(e) if e.reject_reason().is_some_and(RejectReason::is_shed) => {
                             return Ok(Step::Shed)
                         }
                         // Submit failures mean the server is stopping:
@@ -1243,6 +1125,9 @@ fn run_wall(
                     let Ok(done) = rx.recv() else {
                         return Ok(Step::Retire);
                     };
+                    if done.reject.is_some_and(RejectReason::is_shed) {
+                        return Ok(Step::Shed);
+                    }
                     let result = Step::Done(done.latency_ms, done.outcome.is_err());
                     if traced {
                         captured
@@ -1266,23 +1151,24 @@ fn run_wall(
                 let submit_ms = t0.elapsed().as_secs_f64() * 1e3;
                 match server.try_submit(universe[keys[i]].clone()) {
                     Ok(rx) => pending.push((i, submit_ms, rx)),
-                    // Queue, breaker and batch-backlog sheds are counted
-                    // by the server.
-                    Err(
-                        SubmitError::Busy | SubmitError::CircuitOpen | SubmitError::BatchBacklog,
-                    ) => {}
                     Err(SubmitError::ShuttingDown) => break,
+                    // Typed sheds are counted by the server.
+                    Err(_) => {}
                 }
             }
             for (i, submit_ms, rx) in pending {
-                if let Ok(done) = rx.recv() {
-                    results.push((i, done.latency_ms, done.outcome.is_err()));
-                    if traced {
-                        captured
-                            .lock()
-                            .expect("capture buffer poisoned")
-                            .push((i, submit_ms, done));
-                    }
+                // A request shed after acceptance is counted by the
+                // server too; it is not a completion.
+                let Ok(done) = rx.recv() else { continue };
+                if done.reject.is_some_and(RejectReason::is_shed) {
+                    continue;
+                }
+                results.push((i, done.latency_ms, done.outcome.is_err()));
+                if traced {
+                    captured
+                        .lock()
+                        .expect("capture buffer poisoned")
+                        .push((i, submit_ms, done));
                 }
             }
         }
@@ -1517,6 +1403,31 @@ mod tests {
             ..LoadSpec::default()
         };
         assert!(spec.universe().unwrap_err().contains("empty grid"));
+    }
+
+    #[test]
+    fn batch_groups_never_span_gpus() {
+        // A merged Plan is profiled on one device: Cora on 4 SMs and on
+        // 32 SMs share a merge class but not a batch group.
+        let spec = LoadSpec {
+            scenario: "gpusweep".to_string(),
+            opts: BenchOpts::golden(),
+            ..LoadSpec::default()
+        };
+        let universe = spec.universe().expect("gpusweep resolves");
+        let cora_on = |sms| {
+            universe
+                .iter()
+                .position(|r| {
+                    r.config.dataset == gsuite_graph::datasets::Dataset::Cora
+                        && r.gpu == gsuite_scenarios::GpuSpec::SimSms(sms)
+                })
+                .expect("in the sweep")
+        };
+        let keys = [cora_on(4), cora_on(32)];
+        let (costs, _) = sim_costs(&universe, &keys, &spec.opts, 2, false, true);
+        let group = |k: usize| costs[k].batch.as_ref().expect("Cora merges").group;
+        assert_ne!(group(keys[0]), group(keys[1]));
     }
 
     #[test]

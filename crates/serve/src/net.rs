@@ -34,6 +34,7 @@ use std::time::Instant;
 
 use gsuite_scenarios::LruStats;
 
+use crate::fault::RejectReason;
 use crate::loadgen::{ArrivalMode, LoadReport, LoadSpec, Step};
 use crate::request::ServeRequest;
 use crate::server::{ServeConfig, Server, ServerStats};
@@ -391,6 +392,16 @@ pub fn loadgen_tcp(addr: &str, spec: &LoadSpec, stop_server: bool) -> Result<Loa
                 .round_trip_into(&lines[keys[i]], response)
                 .map_err(|e| format!("connection to {addr} failed: {e}"))?;
             let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
+            let code = response
+                .split_whitespace()
+                .find_map(|tok| tok.strip_prefix("code="));
+            if code
+                .and_then(RejectReason::parse)
+                .is_some_and(RejectReason::is_shed)
+            {
+                // A typed shed is counted by the server, not completed.
+                return Ok(Step::Shed);
+            }
             Ok(Step::Done(latency_ms, !response.starts_with("ok ")))
         },
     )?;
@@ -487,6 +498,47 @@ mod tests {
         };
         let err = loadgen_tcp(&addr, &spec, false).expect_err("not a stats line");
         assert!(err.contains("not a stats line"), "{err}");
+        peer.join().expect("peer thread");
+    }
+
+    #[test]
+    fn typed_shed_replies_count_as_shed() {
+        // A peer that sheds every request with a typed reject: the run
+        // completes nothing and counts no error.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let peer = std::thread::spawn(move || {
+            // The stats connection, then the one client's connection.
+            let answer = |stream: TcpStream| {
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut writer = stream;
+                let mut line = String::new();
+                while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                    let reply = match line.trim() {
+                        "stats" => "stats workers=1",
+                        _ => "err id=- msg=\"batch backlog full\" code=batch-backlog",
+                    };
+                    writeln!(writer, "{reply}").expect("reply");
+                    line.clear();
+                }
+            };
+            let conns: Vec<_> = (0..2)
+                .map(|_| {
+                    let (stream, _) = listener.accept().expect("accept");
+                    std::thread::spawn(move || answer(stream))
+                })
+                .collect();
+            for conn in conns {
+                conn.join().expect("connection thread");
+            }
+        });
+        let spec = LoadSpec {
+            requests: 1,
+            arrival: ArrivalMode::Closed { clients: 1 },
+            ..LoadSpec::default()
+        };
+        let report = loadgen_tcp(&addr, &spec, false).expect("run completes");
+        assert_eq!((report.completed, report.errors), (0, 0));
         peer.join().expect("peer thread");
     }
 }

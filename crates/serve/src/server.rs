@@ -33,6 +33,17 @@
 //! knob defaults to **inert**: a fault-free server takes exactly the
 //! historical code path.
 //!
+//! # Cross-request batching
+//!
+//! With a [`BatchPolicy`], every submission passes the sim clock's own
+//! [`BatchFormer`] in front of the queue, so both clocks form the same
+//! batches. A forming batch holds no worker; its expiry is seen at the
+//! next submission, before each dequeue, or by an idle worker's timed
+//! wait, and shutdown flushes it. A singleton dispatch takes the
+//! unbatched path without blocking; a merged batch meets only the queue
+//! bound and is shed as a unit. `batches` counts every dispatch,
+//! singletons included.
+//!
 //! # Example
 //!
 //! ```
@@ -45,23 +56,22 @@
 //! server.shutdown();
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, Once};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gsuite_core::config::RunConfig;
 use gsuite_core::pipeline::{PipelineRun, WorkerScratch};
-use gsuite_core::plan::batchmerge::merge_class;
+use gsuite_core::plan::batchmerge::{merge_class, MergeClass};
 use gsuite_core::plan::template::{TemplateCache, TemplateKey};
 use gsuite_core::plan::OptLevel;
 use gsuite_core::CoreError;
 use gsuite_graph::Graph;
 use gsuite_profile::{Interconnect, PipelineProfile};
-use gsuite_scenarios::sim::BatchPolicy;
-use gsuite_scenarios::BenchOpts;
-use gsuite_scenarios::LruStats;
+use gsuite_scenarios::sim::{BatchArrival, BatchFormer, BatchPolicy, FormedBatch, FormerEvent};
+use gsuite_scenarios::{BenchOpts, GpuSpec, LruStats};
 
 use crate::cache::ShardedByteLru;
 use crate::fault::{
@@ -137,17 +147,12 @@ pub struct ServeConfig {
     /// default is fully inert — see [`ResilienceConfig::is_inert`].
     pub resilience: ResilienceConfig,
     /// Cross-request batching policy. `None` (the default) serves every
-    /// request alone — the historical code path, exactly. When set, a
-    /// worker that dequeues a mergeable request (see
-    /// [`gsuite_core::plan::batchmerge::merge_class`]) holds a forming
-    /// window open for up to [`BatchPolicy::max_queue_delay_ms`],
-    /// drains up to [`BatchPolicy::max_batch`] compatible queued
-    /// requests into one merged Plan build + profile, and scatters
-    /// per-request completions. Merged executions skip the pipeline
-    /// LRU (each member is a distinct key built block-diagonally; the
-    /// plan-template cache still serves repeat batch shapes) and the
-    /// fault-injection machinery (the merged path is the healthy fast
-    /// path; faulted workloads exercise the solo path).
+    /// request alone — the historical code path, exactly. When set, every
+    /// submission passes the [`BatchFormer`] (see the module docs), and
+    /// requests of one merge class on one GPU dispatch as one merged Plan
+    /// build + profile. Merged executions skip the pipeline LRU and the
+    /// fault-injection machinery (the healthy fast path); the
+    /// plan-template cache still serves repeat batch shapes.
     pub batch: Option<BatchPolicy>,
 }
 
@@ -257,9 +262,10 @@ pub enum SubmitError {
     /// configuration failed recently enough, often enough, that the
     /// server fast-fails it instead of queueing it.
     CircuitOpen,
-    /// The batch former's admission control shed this mergeable
-    /// request: [`BatchPolicy::max_backlog`] forming windows were
-    /// already open.
+    /// The batch former shed this request at submission: it would have
+    /// opened a new batch while [`BatchPolicy::max_backlog`] batches
+    /// were already forming. A request that joins a forming batch, and
+    /// an unmergeable one, is never shed this way.
     BatchBacklog,
     /// The server is shutting down.
     ShuttingDown,
@@ -296,13 +302,16 @@ pub struct ServerStats {
     pub workers: usize,
     /// Requests currently queued (excluding executing ones).
     pub queue_depth: usize,
-    /// Accepted submissions (including coalesced ones).
+    /// Submissions queued or coalesced (with a batch policy, once the
+    /// former dispatched them).
     pub submitted: u64,
-    /// Delivered completions.
+    /// Delivered completions of executed work; sheds are not counted.
     pub completed: u64,
     /// Submissions that attached to an in-flight identical request.
     pub coalesced: u64,
-    /// `try_submit` calls shed due to a full queue.
+    /// Requests shed by a full queue: `try_submit` calls and, with a
+    /// batch policy, dispatches from the former (a merged batch counts
+    /// every member).
     pub rejected: u64,
     /// Largest peak-device-bytes footprint of any pipeline served so far
     /// (each pipeline's memory schedule reports its own peak; see
@@ -340,12 +349,12 @@ pub struct ServerStats {
     pub tpl_instantiates: u64,
     /// Contended pipeline-cache shard-lock acquisitions.
     pub lock_waits: u64,
-    /// Merged cross-request batches executed (2+ members each; solo
-    /// dispatches are not counted).
+    /// Batches dispatched by the batch former, singletons included.
     pub batches: u64,
-    /// Requests served through a merged batch.
+    /// Requests resolved through a dispatched batch, singletons
+    /// included.
     pub batched_requests: u64,
-    /// Mergeable submissions shed by batch-former admission control.
+    /// Submissions shed by the batch former's backlog bound.
     pub batch_shed: u64,
     /// Cache counters.
     pub cache: LruStats,
@@ -531,167 +540,109 @@ impl ServerStats {
     /// become gauges; exposition order is sorted by name.
     pub fn metrics(&self) -> gsuite_telemetry::MetricsRegistry {
         let mut reg = gsuite_telemetry::MetricsRegistry::new();
-        let counters: [(&str, &str, u64); 24] = [
-            (
-                "gsuite_serve_submitted_total",
-                "Accepted submissions (including coalesced).",
-                self.submitted,
-            ),
-            (
-                "gsuite_serve_completed_total",
-                "Delivered completions.",
-                self.completed,
-            ),
-            (
-                "gsuite_serve_coalesced_total",
-                "Submissions that attached to an in-flight identical request.",
-                self.coalesced,
-            ),
-            (
-                "gsuite_serve_rejected_total",
-                "Submissions shed due to a full queue.",
-                self.rejected,
-            ),
-            (
-                "gsuite_cache_hits_total",
-                "Pipeline-cache lookup hits.",
-                self.cache.hits,
-            ),
-            (
-                "gsuite_cache_misses_total",
-                "Pipeline-cache lookup misses.",
-                self.cache.misses,
-            ),
-            (
-                "gsuite_cache_insertions_total",
-                "Pipeline-cache insertions.",
-                self.cache.insertions,
-            ),
-            (
-                "gsuite_cache_evictions_total",
-                "Pipeline-cache evictions.",
-                self.cache.evictions,
-            ),
-            (
-                "gsuite_cache_rejected_total",
-                "Pipeline-cache inserts rejected (entry larger than capacity).",
-                self.cache.rejected,
-            ),
-            (
-                "gsuite_resilience_retries_total",
-                "Retry attempts consumed.",
-                self.retries,
-            ),
-            (
-                "gsuite_resilience_timeouts_total",
-                "Requests failed on an expired deadline.",
-                self.timeouts,
-            ),
-            (
-                "gsuite_resilience_breaker_trips_total",
-                "Circuit-breaker trips.",
-                self.breaker_trips,
-            ),
-            (
-                "gsuite_resilience_breaker_shed_total",
-                "Submissions shed by an open circuit breaker.",
-                self.breaker_shed,
-            ),
-            (
-                "gsuite_resilience_degraded_total",
-                "Requests served by the O0 compile fallback.",
-                self.degraded,
-            ),
-            (
-                "gsuite_resilience_stale_serves_total",
-                "Stale-but-valid cache serves past the soft TTL.",
-                self.stale_serves,
-            ),
-            (
-                "gsuite_resilience_crashed_total",
-                "Injected worker crashes caught by the supervisor.",
-                self.crashed,
-            ),
-            (
-                "gsuite_resilience_respawns_total",
-                "Worker respawns after caught crashes.",
-                self.respawns,
-            ),
-            (
-                "gsuite_template_hits_total",
-                "Plan-template cache lookup hits.",
-                self.tpl_hits,
-            ),
-            (
-                "gsuite_template_misses_total",
-                "Plan-template cache lookup misses.",
-                self.tpl_misses,
-            ),
-            (
-                "gsuite_template_instantiates_total",
-                "Builds served by template instantiation instead of a full compile.",
-                self.tpl_instantiates,
-            ),
-            (
-                "gsuite_cache_lock_waits_total",
-                "Contended pipeline-cache shard-lock acquisitions.",
-                self.lock_waits,
-            ),
-            (
-                "gsuite_batch_dispatched_total",
-                "Merged cross-request batches executed.",
-                self.batches,
-            ),
-            (
-                "gsuite_batch_requests_total",
-                "Requests served through a merged batch.",
-                self.batched_requests,
-            ),
-            (
-                "gsuite_batch_shed_total",
-                "Mergeable submissions shed by batch-former admission control.",
-                self.batch_shed,
-            ),
-        ];
-        for (name, help, v) in counters {
-            reg.counter_add(name, help, v);
+        for (name, v) in [
+            ("gsuite_serve_submitted_total", self.submitted),
+            ("gsuite_serve_completed_total", self.completed),
+            ("gsuite_serve_coalesced_total", self.coalesced),
+            ("gsuite_serve_rejected_total", self.rejected),
+            ("gsuite_cache_hits_total", self.cache.hits),
+            ("gsuite_cache_misses_total", self.cache.misses),
+            ("gsuite_cache_insertions_total", self.cache.insertions),
+            ("gsuite_cache_evictions_total", self.cache.evictions),
+            ("gsuite_cache_rejected_total", self.cache.rejected),
+            ("gsuite_resilience_retries_total", self.retries),
+            ("gsuite_resilience_timeouts_total", self.timeouts),
+            ("gsuite_resilience_breaker_trips_total", self.breaker_trips),
+            ("gsuite_resilience_breaker_shed_total", self.breaker_shed),
+            ("gsuite_resilience_degraded_total", self.degraded),
+            ("gsuite_resilience_stale_serves_total", self.stale_serves),
+            ("gsuite_resilience_crashed_total", self.crashed),
+            ("gsuite_resilience_respawns_total", self.respawns),
+            ("gsuite_template_hits_total", self.tpl_hits),
+            ("gsuite_template_misses_total", self.tpl_misses),
+            ("gsuite_template_instantiates_total", self.tpl_instantiates),
+            ("gsuite_cache_lock_waits_total", self.lock_waits),
+            ("gsuite_batch_dispatched_total", self.batches),
+            ("gsuite_batch_requests_total", self.batched_requests),
+            ("gsuite_batch_shed_total", self.batch_shed),
+        ] {
+            reg.counter_add(name, metric_help(name), v);
         }
-        let gauges: [(&str, &str, f64); 6] = [
-            (
-                "gsuite_serve_workers",
-                "Worker-pool size.",
-                self.workers as f64,
-            ),
-            (
-                "gsuite_serve_queue_depth",
-                "Requests currently queued.",
-                self.queue_depth as f64,
-            ),
-            (
-                "gsuite_cache_bytes_in_use",
-                "Pipeline-cache bytes in use.",
-                self.cache.bytes_in_use as f64,
-            ),
-            (
-                "gsuite_cache_entries",
-                "Pipeline-cache resident entries.",
-                self.cache.entries as f64,
-            ),
+        for (name, v) in [
+            ("gsuite_serve_workers", self.workers as f64),
+            ("gsuite_serve_queue_depth", self.queue_depth as f64),
+            ("gsuite_cache_bytes_in_use", self.cache.bytes_in_use as f64),
+            ("gsuite_cache_entries", self.cache.entries as f64),
             (
                 "gsuite_serve_peak_device_bytes",
-                "Largest peak-device-bytes footprint served.",
                 self.peak_device_bytes as f64,
             ),
             (
                 "gsuite_serve_shard_peak_device_bytes",
-                "Largest per-shard device-bytes peak served.",
                 self.shard_peak_device_bytes as f64,
             ),
-        ];
-        for (name, help, v) in gauges {
-            reg.gauge_set(name, help, v);
+        ] {
+            reg.gauge_set(name, metric_help(name), v);
         }
         reg
+    }
+}
+
+/// The help text of the metric `name`: one text per name, shared by
+/// the server's `metrics` command ([`ServerStats::metrics`]) and the
+/// loadgen report's exposition, so a metric both expose reads the same.
+///
+/// # Panics
+///
+/// Panics for a name without a text.
+pub(crate) fn metric_help(name: &str) -> &'static str {
+    match name {
+        "gsuite_batch_avg_size" => "Mean members per dispatched batch.",
+        "gsuite_batch_dispatched_total" => "Batches dispatched by the cross-request former.",
+        "gsuite_batch_requests_total" => "Requests resolved through a dispatched batch.",
+        "gsuite_batch_shed_total" => "Requests shed by the batch former's admission control.",
+        "gsuite_cache_bytes_in_use" => "Pipeline-cache bytes in use.",
+        "gsuite_cache_entries" => "Pipeline-cache resident entries.",
+        "gsuite_cache_evictions_total" => "Pipeline-cache evictions.",
+        "gsuite_cache_hits_total" => "Pipeline-cache lookup hits.",
+        "gsuite_cache_insertions_total" => "Pipeline-cache insertions.",
+        "gsuite_cache_lock_waits_total" => "Contended pipeline-cache shard-lock acquisitions.",
+        "gsuite_cache_misses_total" => "Pipeline-cache lookup misses.",
+        "gsuite_cache_rejected_total" => {
+            "Pipeline-cache inserts rejected (entry larger than capacity)."
+        }
+        "gsuite_loadgen_coalesced_total" => "Requests sharing an in-flight execution.",
+        "gsuite_loadgen_completed_total" => "Delivered completions.",
+        "gsuite_loadgen_errors_total" => "Completions that were error responses.",
+        "gsuite_loadgen_latency_ms" => "Completed-request latency (milliseconds).",
+        "gsuite_loadgen_makespan_ms" => "First-submission-to-last-completion milliseconds.",
+        "gsuite_loadgen_rejected_total" => "Requests shed by the bounded queue.",
+        "gsuite_loadgen_throughput_rps" => "Completed requests per second over the makespan.",
+        "gsuite_resilience_breaker_shed_total" => "Submissions shed by an open circuit breaker.",
+        "gsuite_resilience_breaker_trips_total" => "Circuit-breaker trips.",
+        "gsuite_resilience_circuit_open_total" => "Requests shed by an open circuit breaker.",
+        "gsuite_resilience_crashed_total" => "Crashed attempts, retried or not.",
+        "gsuite_resilience_degraded_total" => "Attempts served by the O0 compile fallback.",
+        "gsuite_resilience_respawns_total" => "Worker respawns after caught crashes.",
+        "gsuite_resilience_retries_total" => "Retry attempts performed.",
+        "gsuite_resilience_stale_serves_total" => "Stale-but-valid cache serves past the soft TTL.",
+        "gsuite_resilience_timeouts_total" => "Requests failed on an expired deadline.",
+        "gsuite_serve_coalesced_total" => {
+            "Submissions that attached to an in-flight identical request."
+        }
+        "gsuite_serve_completed_total" => "Delivered completions.",
+        "gsuite_serve_peak_device_bytes" => "Largest peak-device-bytes footprint served.",
+        "gsuite_serve_queue_depth" => "Requests currently queued.",
+        "gsuite_serve_rejected_total" => "Submissions shed due to a full queue.",
+        "gsuite_serve_shard_peak_device_bytes" => "Largest per-shard device-bytes peak served.",
+        "gsuite_serve_submitted_total" => "Accepted submissions (including coalesced).",
+        "gsuite_serve_workers" => "Worker-pool size.",
+        "gsuite_template_hits_total" => "Plan-template cache lookup hits.",
+        "gsuite_template_instantiates_total" => {
+            "Builds served by template instantiation instead of a full compile."
+        }
+        "gsuite_template_misses_total" => "Plan-template cache lookup misses.",
+        _ => panic!("metric {name} has no help text"),
     }
 }
 
@@ -701,11 +652,30 @@ struct Waiter {
     tx: mpsc::Sender<Completion>,
 }
 
-struct Job {
+/// One distinct request of a dispatch and everyone waiting on it: its
+/// submitter, its duplicates in a merged batch, and the identical
+/// submissions coalesced onto it.
+struct Member {
     key: ServeRequest,
-    /// The original submitter plus any identical submissions coalesced
-    /// while this job sat in the queue.
     waiters: Vec<Waiter>,
+}
+
+/// A queued dispatch.
+enum Job {
+    /// One request, served alone.
+    Solo(Member),
+    /// A merged batch: its distinct members, and its size with
+    /// duplicates counted.
+    Merged { members: Vec<Member>, size: u32 },
+}
+
+impl Job {
+    fn members(&mut self) -> &mut [Member] {
+        match self {
+            Job::Solo(m) => std::slice::from_mut(m),
+            Job::Merged { members, .. } => members,
+        }
+    }
 }
 
 struct State {
@@ -716,6 +686,12 @@ struct State {
     /// Per-config circuit breakers (linear scan: the config universe a
     /// service sees is small).
     breakers: Vec<(ServeRequest, CircuitBreaker)>,
+    /// The batch former, present with a batch policy.
+    former: Option<BatchFormer>,
+    /// Requests waiting in the former, by request id.
+    in_former: HashMap<u64, (ServeRequest, Waiter)>,
+    /// The former's group ids: interned merge keys.
+    merge_keys: Vec<(MergeClass, GpuSpec)>,
     next_id: u64,
     submitted: u64,
     completed: u64,
@@ -730,9 +706,6 @@ struct State {
     batches: u64,
     batched_requests: u64,
     batch_shed: u64,
-    /// Batch-forming windows currently held open by workers — the
-    /// backlog bound [`BatchPolicy::max_backlog`] sheds against.
-    forming: usize,
     shutdown: bool,
 }
 
@@ -773,6 +746,9 @@ impl Server {
                 queue: VecDeque::new(),
                 executing: Vec::new(),
                 breakers: Vec::new(),
+                former: cfg.batch.map(BatchFormer::new),
+                in_former: HashMap::new(),
+                merge_keys: Vec::new(),
                 next_id: 0,
                 submitted: 0,
                 completed: 0,
@@ -785,7 +761,6 @@ impl Server {
                 batches: 0,
                 batched_requests: 0,
                 batch_shed: 0,
-                forming: 0,
                 shutdown: false,
             }),
             epoch: Instant::now(),
@@ -813,10 +788,16 @@ impl Server {
     /// backpressure path closed-loop clients ride on. Returns the channel
     /// the [`Completion`] arrives on.
     ///
+    /// With a batch policy the request passes the batch former first and
+    /// never waits for queue space: a later shed (full queue, open
+    /// breaker) arrives as a typed reject completion.
+    ///
     /// # Errors
     ///
     /// [`SubmitError::ShuttingDown`] after [`Server::shutdown`] began;
-    /// [`SubmitError::CircuitOpen`] when the config's breaker is open.
+    /// [`SubmitError::CircuitOpen`] when the config's breaker is open
+    /// (unbatched); [`SubmitError::BatchBacklog`] when the former sheds
+    /// the request.
     pub fn submit(&self, req: ServeRequest) -> Result<mpsc::Receiver<Completion>, SubmitError> {
         self.submit_inner(req, true)
     }
@@ -828,7 +809,8 @@ impl Server {
     ///
     /// [`SubmitError::Busy`] when the queue is full,
     /// [`SubmitError::CircuitOpen`] when the config's breaker is open,
-    /// [`SubmitError::ShuttingDown`] during shutdown.
+    /// [`SubmitError::ShuttingDown`] during shutdown; with a batch
+    /// policy, as [`Server::submit`].
     pub fn try_submit(&self, req: ServeRequest) -> Result<mpsc::Receiver<Completion>, SubmitError> {
         self.submit_inner(req, false)
     }
@@ -838,8 +820,9 @@ impl Server {
         req: ServeRequest,
         block: bool,
     ) -> Result<mpsc::Receiver<Completion>, SubmitError> {
+        let inner = &*self.inner;
         let (tx, rx) = mpsc::channel();
-        let mut state = self.inner.state.lock().expect("server state poisoned");
+        let mut state = inner.state.lock().expect("server state poisoned");
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
@@ -847,72 +830,54 @@ impl Server {
         // index keys the fault draws, so it follows the request stream.
         let id = state.next_id;
         state.next_id += 1;
-        // Batch-former admission: with `max_backlog` forming windows
-        // already open, a *mergeable* submission is shed instead of
-        // deepening the backlog (unmergeable requests bypass the former
-        // entirely, so they are never shed here).
-        if let Some(policy) = self.inner.cfg.batch {
-            if policy.max_backlog > 0
-                && state.forming >= policy.max_backlog
-                && merge_class(&req.config).is_some()
-            {
-                state.batch_shed += 1;
-                return Err(SubmitError::BatchBacklog);
-            }
+        if state.former.is_some() {
+            let submitted = Instant::now();
+            let arrival = BatchArrival {
+                index: id,
+                // Members are resolved by `index`; there is no key table.
+                key: 0,
+                group: merge_key(&req).map(|k| intern(&mut state.merge_keys, k)),
+                // Read under the lock, so arrivals never go back in time.
+                at_ms: ms_between(inner.epoch, submitted),
+            };
+            state
+                .in_former
+                .insert(id, (req, Waiter { id, submitted, tx }));
+            let shed = run_former(inner, &mut state, |f, emit| f.offer(arrival, emit));
+            drop(state);
+            // An idle worker times its wait to a newly forming batch.
+            inner.work_avail.notify_one();
+            return (!shed).then_some(rx).ok_or(SubmitError::BatchBacklog);
         }
         // Circuit-breaker admission runs before coalescing: an open
         // breaker means the config is known-bad, and attaching to an
         // in-flight execution of it would defeat the fast-fail.
-        if let Some(bcfg) = self.inner.cfg.resilience.breaker {
-            let now_ms = ms_between(self.inner.epoch, Instant::now());
-            let breaker = match state.breakers.iter_mut().position(|(k, _)| *k == req) {
-                Some(i) => &mut state.breakers[i].1,
-                None => {
-                    state
-                        .breakers
-                        .push((req.clone(), CircuitBreaker::new(bcfg)));
-                    &mut state.breakers.last_mut().expect("just pushed").1
-                }
-            };
-            if !breaker.admit(now_ms) {
-                state.resilience.circuit_open += 1;
-                return Err(SubmitError::CircuitOpen);
-            }
+        if !admit(inner, &mut state, &req) {
+            return Err(SubmitError::CircuitOpen);
         }
-        let waiter = Waiter {
+        let mut waiter = Waiter {
             id,
             submitted: Instant::now(),
             tx,
         };
-
         loop {
-            // Coalesce onto an identical executing or queued request: the
-            // waiter shares that execution's profile run. Re-checked after
-            // every full-queue wait — while this submitter was blocked,
-            // another may have enqueued the same key, and pushing a second
-            // job would break the one-execution-per-key invariant the
-            // cache-build path relies on.
-            if let Some((_, waiters)) = state.executing.iter_mut().find(|(k, _)| *k == req) {
-                waiters.push(waiter);
-                state.submitted += 1;
-                state.coalesced += 1;
-                return Ok(rx);
-            }
-            if let Some(job) = state.queue.iter_mut().find(|j| j.key == req) {
-                job.waiters.push(waiter);
-                state.submitted += 1;
-                state.coalesced += 1;
-                return Ok(rx);
-            }
-            if state.queue.len() < self.inner.cfg.queue_cap.max(1) {
+            // Re-checked after every full-queue wait — while this
+            // submitter was blocked, another may have enqueued the same
+            // key, and pushing a second job would break the
+            // one-execution-per-key invariant the cache-build path relies
+            // on.
+            waiter = match coalesce(&mut state, &req, waiter) {
+                Ok(()) => return Ok(rx),
+                Err(waiter) => waiter,
+            };
+            if state.queue.len() < inner.cfg.queue_cap.max(1) {
                 break;
             }
             if !block {
                 state.rejected += 1;
                 return Err(SubmitError::Busy);
             }
-            state = self
-                .inner
+            state = inner
                 .space_avail
                 .wait(state)
                 .expect("server state poisoned");
@@ -921,12 +886,12 @@ impl Server {
             }
         }
         state.submitted += 1;
-        state.queue.push_back(Job {
+        state.queue.push_back(Job::Solo(Member {
             key: req,
             waiters: vec![waiter],
-        });
+        }));
         drop(state);
-        self.inner.work_avail.notify_one();
+        inner.work_avail.notify_one();
         Ok(rx)
     }
 
@@ -973,6 +938,9 @@ impl Server {
         {
             let mut state = self.inner.state.lock().expect("server state poisoned");
             state.shutdown = true;
+            // Batches still forming dispatch now, so every accepted
+            // waiter gets a completion before the workers drain and exit.
+            run_former(&self.inner, &mut state, |f, emit| f.flush(emit));
         }
         self.inner.work_avail.notify_all();
         self.inner.space_avail.notify_all();
@@ -989,6 +957,162 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop_and_join();
     }
+}
+
+/// Circuit-breaker admission of `req` now (`true` without a breaker
+/// policy); a refusal counts as circuit-shed.
+fn admit(inner: &Inner, state: &mut State, req: &ServeRequest) -> bool {
+    let Some(bcfg) = inner.cfg.resilience.breaker else {
+        return true;
+    };
+    let now_ms = ms_between(inner.epoch, Instant::now());
+    let breaker = match state.breakers.iter_mut().position(|(k, _)| k == req) {
+        Some(i) => &mut state.breakers[i].1,
+        None => {
+            state
+                .breakers
+                .push((req.clone(), CircuitBreaker::new(bcfg)));
+            &mut state.breakers.last_mut().expect("just pushed").1
+        }
+    };
+    let admitted = breaker.admit(now_ms);
+    state.resilience.circuit_open += u64::from(!admitted);
+    admitted
+}
+
+/// Attaches `waiter` to an executing or queued execution of `req`, so it
+/// shares that execution's profile run; hands the waiter back when there
+/// is none.
+fn coalesce(state: &mut State, req: &ServeRequest, waiter: Waiter) -> Result<(), Waiter> {
+    let waiters = match state.executing.iter_mut().find(|(k, _)| k == req) {
+        Some((_, waiters)) => waiters,
+        None => match state
+            .queue
+            .iter_mut()
+            .flat_map(Job::members)
+            .find(|m| m.key == *req)
+        {
+            Some(m) => &mut m.waiters,
+            None => return Err(waiter),
+        },
+    };
+    waiters.push(waiter);
+    state.submitted += 1;
+    state.coalesced += 1;
+    Ok(())
+}
+
+/// Drives the batch former one step — an arrival, a timer tick or the
+/// shutdown flush — and applies its decisions: a shed arrival leaves, a
+/// released batch is dispatched. Returns whether an arrival was shed.
+/// Without a batch policy it does nothing.
+fn run_former(
+    inner: &Inner,
+    state: &mut State,
+    step: impl FnOnce(&mut BatchFormer, &mut dyn FnMut(FormerEvent)),
+) -> bool {
+    let Some(former) = state.former.as_mut() else {
+        return false;
+    };
+    let mut events = Vec::new();
+    step(former, &mut |e| events.push(e));
+    let mut shed = false;
+    for event in events {
+        match event {
+            FormerEvent::Shed(a) => {
+                state.in_former.remove(&a.index);
+                state.batch_shed += 1;
+                shed = true;
+            }
+            FormerEvent::Dispatch(batch) => dispatch(inner, state, batch),
+        }
+    }
+    shed
+}
+
+/// Dispatches a batch the former released. A singleton takes the
+/// unbatched path — breaker admission, coalescing, the queue bound —
+/// except that a full queue sheds it instead of blocking. A merged batch
+/// meets only the queue bound and is shed as a unit; its duplicate keys
+/// share their first occurrence's execution.
+fn dispatch(inner: &Inner, state: &mut State, batch: FormedBatch) {
+    let size = batch.members.len();
+    state.batches += 1;
+    state.batched_requests += size as u64;
+    let mut members: Vec<(ServeRequest, Waiter)> = batch
+        .members
+        .iter()
+        .map(|a| {
+            state
+                .in_former
+                .remove(&a.index)
+                .expect("held until released")
+        })
+        .collect();
+    let full = state.queue.len() >= inner.cfg.queue_cap.max(1);
+    let job = if size == 1 {
+        let (key, waiter) = members.pop().expect("one member");
+        if !admit(inner, state, &key) {
+            return shed_accepted(key, waiter, SubmitError::CircuitOpen);
+        }
+        let Err(waiter) = coalesce(state, &key, waiter) else {
+            return;
+        };
+        if full {
+            state.rejected += 1;
+            return shed_accepted(key, waiter, SubmitError::Busy);
+        }
+        Job::Solo(Member {
+            key,
+            waiters: vec![waiter],
+        })
+    } else if full {
+        state.rejected += size as u64;
+        for (key, waiter) in members {
+            shed_accepted(key, waiter, SubmitError::Busy);
+        }
+        return;
+    } else {
+        let mut leaders: Vec<Member> = Vec::new();
+        for (key, waiter) in members {
+            match leaders.iter_mut().find(|m| m.key == key) {
+                Some(m) => {
+                    m.waiters.push(waiter);
+                    state.coalesced += 1;
+                }
+                None => leaders.push(Member {
+                    key,
+                    waiters: vec![waiter],
+                }),
+            }
+        }
+        Job::Merged {
+            members: leaders,
+            size: size as u32,
+        }
+    };
+    state.submitted += size as u64;
+    state.queue.push_back(job);
+    inner.work_avail.notify_one();
+}
+
+/// Answers a request shed after `submit` accepted it with the typed
+/// reject of `err`.
+fn shed_accepted(key: ServeRequest, waiter: Waiter, err: SubmitError) {
+    let latency_ms = ms_between(waiter.submitted, Instant::now());
+    let _ = waiter.tx.send(Completion {
+        id: waiter.id,
+        request: key,
+        outcome: Err(err.to_string()),
+        cache: CacheDisposition::Miss,
+        reject: err.reject_reason(),
+        degraded: false,
+        retries: 0,
+        batch: 1,
+        queue_ms: latency_ms,
+        service_ms: 0.0,
+        latency_ms,
+    });
 }
 
 /// How one execution attempt failed.
@@ -1134,152 +1258,67 @@ fn run_attempt(
     })
 }
 
-/// Holds a forming window open for up to
-/// [`BatchPolicy::max_queue_delay_ms`]: drains queued jobs whose merge
-/// class and GPU match the head's (oldest first, skipping incompatible
-/// jobs in place) until the batch is full, the window expires, or the
-/// server shuts down. Returns the members in arrival order, head first.
-/// Every drained member is registered as executing before the lock
-/// drops, so identical submissions coalesce onto it exactly as they
-/// would onto a solo execution.
-fn form_batch(
-    inner: &Inner,
-    mut state: std::sync::MutexGuard<'_, State>,
-    head: Job,
-    policy: BatchPolicy,
-    class: &gsuite_core::plan::batchmerge::MergeClass,
-) -> Vec<Job> {
-    state.forming += 1;
-    let mut members = vec![head];
-    let gpu = members[0].key.gpu;
-    let deadline = Instant::now()
-        + std::time::Duration::from_secs_f64(policy.max_queue_delay_ms.max(0.0) / 1e3);
-    loop {
-        // Drain every compatible queued job, oldest first.
-        let mut i = 0;
-        while i < state.queue.len() && members.len() < policy.max_batch {
-            let compatible = {
-                let j = &state.queue[i];
-                j.key.gpu == gpu && merge_class(&j.key.config).as_ref() == Some(class)
-            };
-            if compatible {
-                let job = state.queue.remove(i).expect("indexed job exists");
-                state.executing.push((job.key.clone(), Vec::new()));
-                inner.space_avail.notify_one();
-                members.push(job);
-            } else {
-                i += 1;
-            }
-        }
-        if members.len() >= policy.max_batch || state.shutdown {
-            break;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        // Incompatible work may still be queued: hand the wake-up back
-        // before parking so an idle worker (not this forming one) takes
-        // it.
-        if !state.queue.is_empty() {
-            inner.work_avail.notify_one();
-        }
-        let (s, timeout) = inner
-            .work_avail
-            .wait_timeout(state, deadline - now)
-            .expect("server state poisoned");
-        state = s;
-        if timeout.timed_out() {
-            break;
-        }
-    }
-    state.forming -= 1;
-    members
-}
-
-/// Executes a formed batch (2+ members) as **one** merged Plan build +
-/// profile and scatters per-member completions. The merged path skips
+/// Executes a merged batch as **one** merged Plan build + profile over
+/// its distinct members and scatters per-request completions; every
+/// member reports the whole batch's service time. The merged path skips
 /// the pipeline LRU (each member is a distinct key whose merged entry
 /// would not be reusable solo) and the fault-injection machinery — it
 /// is the healthy fast path; the plan-template cache still serves
 /// repeat batch shapes. A panic anywhere in the build is caught and
 /// delivered as error completions, so the worker survives.
-fn run_merged_batch(inner: &Inner, jobs: Vec<Job>, scratch: &mut WorkerScratch) {
+fn run_merged_batch(inner: &Inner, members: Vec<Member>, size: u32, scratch: &mut WorkerScratch) {
     let dispatched = Instant::now();
-    let configs: Vec<RunConfig> = jobs.iter().map(|j| j.key.config.clone()).collect();
-    let head = jobs[0].key.clone();
+    let configs: Vec<RunConfig> = members.iter().map(|m| m.key.config.clone()).collect();
+    let head = &members[0].key;
     let built = catch_unwind(AssertUnwindSafe(|| {
         let graph = Arc::new(head.config.load_graph());
-        let (run, parts) =
+        let (run, _) =
             PipelineRun::build_merged_with_templates(&graph, &configs, &inner.templates, scratch)
                 .map_err(|e| e.to_string())?;
         let profiler = head.gpu.profiler(&inner.cfg.opts, head.config.dataset);
         let profile = Arc::new(run.profile(profiler.as_ref()));
-        Ok((run.peak_device_bytes, profile, parts))
+        Ok((run.peak_device_bytes, profile))
     }));
-    let outcome = match built {
-        Ok(res) => res,
-        Err(_payload) => {
-            let mut state = inner.state.lock().expect("server state poisoned");
-            state.resilience.crashed += 1;
-            state.respawns += 1;
-            Err("worker crashed during merged batch build".to_string())
-        }
-    };
+    let outcome = built.unwrap_or_else(|_payload| {
+        let mut state = inner.state.lock().expect("server state poisoned");
+        state.resilience.crashed += 1;
+        state.respawns += 1;
+        Err("worker crashed during merged batch build".to_string())
+    });
     let finished = Instant::now();
     let service_ms = ms_between(dispatched, finished);
-    // Node-share attribution: each member's service share is its own
-    // subgraph's node fraction of the merged execution (error batches
-    // fall back to the shared wall time).
-    let shares: Vec<f64> = match &outcome {
-        Ok((_, _, parts)) => {
-            let total: usize = parts.iter().map(|p| p.nodes).sum();
-            parts
-                .iter()
-                .map(|p| service_ms * p.nodes as f64 / total.max(1) as f64)
-                .collect()
-        }
-        Err(_) => vec![service_ms; jobs.len()],
-    };
     // Retire every member's executing slot (collecting coalescers that
-    // attached during execution) and roll the batch into the counters
-    // under one lock.
+    // attached during execution) under one lock.
     let late: Vec<Vec<Waiter>> = {
         let mut state = inner.state.lock().expect("server state poisoned");
-        state.batches += 1;
-        state.batched_requests += jobs.len() as u64;
-        if let Ok((peak, _, _)) = &outcome {
-            state.peak_device_bytes = state.peak_device_bytes.max(*peak);
+        if let Ok((peak, _)) = outcome {
+            state.peak_device_bytes = state.peak_device_bytes.max(peak);
         }
-        let late: Vec<Vec<Waiter>> = jobs
+        let late: Vec<Vec<Waiter>> = members
             .iter()
-            .map(|job| {
+            .map(|m| {
                 let i = state
                     .executing
                     .iter()
-                    .position(|(k, _)| *k == job.key)
+                    .position(|(k, _)| *k == m.key)
                     .expect("executing entry registered at dispatch");
                 state.executing.swap_remove(i).1
             })
             .collect();
-        state.completed += jobs
+        state.completed += members
             .iter()
             .zip(&late)
-            .map(|(j, l)| (j.waiters.len() + l.len()) as u64)
+            .map(|(m, l)| (m.waiters.len() + l.len()) as u64)
             .sum::<u64>();
         late
     };
-    let batch = jobs.len() as u32;
-    for (i, (job, late_waiters)) in jobs.into_iter().zip(late).enumerate() {
-        let member_outcome: Result<Arc<PipelineProfile>, String> = match &outcome {
-            Ok((_, profile, _)) => Ok(Arc::clone(profile)),
-            Err(msg) => Err(msg.clone()),
-        };
-        for (n, waiter) in job.waiters.into_iter().chain(late_waiters).enumerate() {
+    let outcome = outcome.map(|(_, profile)| profile);
+    for (member, late_waiters) in members.into_iter().zip(late) {
+        for (n, waiter) in member.waiters.into_iter().chain(late_waiters).enumerate() {
             let completion = Completion {
                 id: waiter.id,
-                request: job.key.clone(),
-                outcome: member_outcome.clone(),
+                request: member.key.clone(),
+                outcome: outcome.clone(),
                 cache: if n == 0 {
                     CacheDisposition::Miss
                 } else {
@@ -1288,9 +1327,9 @@ fn run_merged_batch(inner: &Inner, jobs: Vec<Job>, scratch: &mut WorkerScratch) 
                 reject: None,
                 degraded: false,
                 retries: 0,
-                batch,
+                batch: size,
                 queue_ms: ms_between(waiter.submitted, dispatched).max(0.0),
-                service_ms: shares[i],
+                service_ms,
                 latency_ms: ms_between(waiter.submitted, finished).max(0.0),
             };
             let _ = waiter.tx.send(completion);
@@ -1308,34 +1347,42 @@ fn worker_loop(inner: &Inner) {
         // Wait for a job (or drain-and-exit on shutdown).
         let job = {
             let mut state = inner.state.lock().expect("server state poisoned");
-            let head = loop {
-                if let Some(job) = state.queue.pop_front() {
-                    state.executing.push((job.key.clone(), Vec::new()));
+            let job = loop {
+                // Batches whose delay ran out dispatch before the dequeue.
+                run_former(inner, &mut state, |f, emit| {
+                    f.expire(ms_between(inner.epoch, Instant::now()), emit)
+                });
+                if let Some(mut job) = state.queue.pop_front() {
+                    for m in job.members() {
+                        state.executing.push((m.key.clone(), Vec::new()));
+                    }
                     inner.space_avail.notify_one();
                     break job;
                 }
                 if state.shutdown {
                     return;
                 }
-                state = inner.work_avail.wait(state).expect("server state poisoned");
+                // An idle worker wakes by itself when the oldest forming
+                // batch's delay runs out, or after an hour (a NaN delay
+                // never runs out).
+                state = match state.former.as_ref().and_then(BatchFormer::next_expiry) {
+                    Some(at_ms) => {
+                        let s = (at_ms - ms_between(inner.epoch, Instant::now())) / 1e3;
+                        let wait = Duration::try_from_secs_f64(s.clamp(0.0, 3600.0))
+                            .unwrap_or(Duration::from_secs(3600));
+                        let waited = inner.work_avail.wait_timeout(state, wait);
+                        waited.expect("server state poisoned").0
+                    }
+                    None => inner.work_avail.wait(state).expect("server state poisoned"),
+                };
             };
-            // Cross-request batching: a mergeable head holds a forming
-            // window open for compatible company; everything else takes
-            // the historical solo path untouched.
-            let formable = inner
-                .cfg
-                .batch
-                .filter(|p| p.max_batch >= 2)
-                .and_then(|p| merge_class(&head.key.config).map(|class| (p, class)));
-            if let Some((policy, class)) = formable {
-                let members = form_batch(inner, state, head, policy, &class);
-                if members.len() >= 2 {
-                    run_merged_batch(inner, members, &mut scratch);
+            match job {
+                Job::Solo(member) => member,
+                Job::Merged { members, size } => {
+                    drop(state);
+                    run_merged_batch(inner, members, size, &mut scratch);
                     continue;
                 }
-                members.into_iter().next().expect("former returns the head")
-            } else {
-                head
             }
         };
         let dispatched = Instant::now();
@@ -1493,6 +1540,24 @@ fn worker_loop(inner: &Inner) {
 
 fn ms_between(from: Instant, to: Instant) -> f64 {
     to.saturating_duration_since(from).as_secs_f64() * 1e3
+}
+
+/// The batch former's merge key of a request: its merge class on its
+/// GPU, since a merged Plan is profiled on one device; `None` when the
+/// request never merges.
+pub(crate) fn merge_key(req: &ServeRequest) -> Option<(MergeClass, GpuSpec)> {
+    merge_class(&req.config).map(|class| (class, req.gpu))
+}
+
+/// The id of `item` in `table`, appended on first use.
+pub(crate) fn intern<T: PartialEq>(table: &mut Vec<T>, item: T) -> usize {
+    match table.iter().position(|t| *t == item) {
+        Some(id) => id,
+        None => {
+            table.push(item);
+            table.len() - 1
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1856,7 +1921,7 @@ mod tests {
             assert!(d.to_line().contains(" batch=2"), "{}", d.to_line());
             assert!(d.outcome.is_ok());
             assert_eq!(d.cache, CacheDisposition::Miss);
-            assert!(d.service_ms > 0.0, "node-share attribution is non-zero");
+            assert!(d.service_ms > 0.0, "the batch's execution time is non-zero");
             assert!(d.latency_ms >= d.service_ms);
         }
         let stats = server.stats();
@@ -1883,28 +1948,160 @@ mod tests {
         let rx = server
             .submit(golden_request("model=gcn dataset=cora scale=0.05"))
             .unwrap();
-        // Let the worker open its forming window.
-        std::thread::sleep(std::time::Duration::from_millis(150));
+        // Another merge class would open a second batch past the bound.
         let err = server
-            .submit(golden_request("model=gin dataset=cora scale=0.05"))
+            .submit(golden_request("model=gin dataset=citeseer scale=0.05"))
             .unwrap_err();
         assert_eq!(err, SubmitError::BatchBacklog);
         assert_eq!(err.reject_reason(), Some(RejectReason::BatchBacklog));
-        // Unmergeable requests (sharded multi-GPU) bypass the former and
-        // its admission control entirely.
+        // Unmergeable requests (sharded multi-GPU) dispatch at once as
+        // singletons, whatever the backlog.
         let solo = server
             .submit(golden_request(
                 "model=gcn dataset=cora scale=0.05 shards=2 partitioner=range",
             ))
             .unwrap();
         let head = rx.recv().expect("head completes");
-        assert_eq!(head.batch, 1, "a lonely window closes into the solo path");
+        assert_eq!(head.batch, 1, "a lonely batch dispatches alone");
         assert!(!head.to_line().contains("batch="), "{}", head.to_line());
         assert!(solo.recv().unwrap().outcome.is_ok());
         let stats = server.stats();
         assert_eq!(stats.batch_shed, 1);
-        assert_eq!(stats.batches, 0, "singleton dispatches are not batches");
-        assert_eq!(stats.batched_requests, 0);
+        assert_eq!(stats.batches, 2, "singleton dispatches are batches");
+        assert_eq!(stats.batched_requests, 2);
+        server.shutdown();
+    }
+
+    fn batching_server(max_batch: usize, max_queue_delay_ms: f64, max_backlog: usize) -> Server {
+        Server::start(ServeConfig {
+            workers: 1,
+            batch: Some(BatchPolicy {
+                max_batch,
+                max_queue_delay_ms,
+                max_backlog,
+            }),
+            ..ServeConfig::golden()
+        })
+    }
+
+    #[test]
+    fn joins_are_never_shed_by_a_full_backlog() {
+        let server = batching_server(2, 60_000.0, 1);
+        // The first request opens the one batch the bound allows; the
+        // second has its merge class, joins and fills it.
+        let a = server
+            .submit(golden_request("model=gcn dataset=cora scale=0.05"))
+            .unwrap();
+        // The join comes well after the batch opened.
+        std::thread::sleep(Duration::from_millis(150));
+        let b = server
+            .submit(golden_request("model=gin dataset=cora scale=0.05"))
+            .expect("a join is never shed");
+        for rx in [a, b] {
+            let done = rx.recv().expect("member completes");
+            assert!(done.outcome.is_ok());
+            assert_eq!(done.batch, 2);
+        }
+        let stats = server.stats();
+        assert_eq!(stats.batch_shed, 0);
+        assert_eq!((stats.batches, stats.batched_requests), (1, 2));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_lone_batch_dispatches_when_its_delay_runs_out() {
+        let server = batching_server(4, 50.0, 0);
+        // No further arrival: the idle worker's timed wait dispatches it.
+        let done = server
+            .submit(golden_request("model=gcn dataset=cora scale=0.05"))
+            .unwrap()
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the expired batch dispatches");
+        assert!(done.outcome.is_ok());
+        assert!(done.latency_ms >= 50.0, "dispatched before its delay");
+        let stats = server.stats();
+        assert_eq!((stats.batches, stats.batched_requests), (1, 1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn dropping_the_server_flushes_forming_batches() {
+        let server = batching_server(4, 3_600_000.0, 0);
+        let rxs: Vec<_> = ["gcn", "gin"]
+            .iter()
+            .map(|model| {
+                let line = format!("model={model} dataset=cora scale=0.05");
+                server.submit(golden_request(&line)).unwrap()
+            })
+            .collect();
+        drop(server);
+        for rx in rxs {
+            let done = rx.recv().expect("a forming batch still completes");
+            assert!(done.outcome.is_ok());
+            assert_eq!(done.batch, 2);
+        }
+    }
+
+    #[test]
+    fn a_merged_dispatch_into_a_full_queue_is_shed_as_a_unit() {
+        // Solo attempts are slowed 4x (merged batches skip faults), so
+        // the first request holds the only worker for about a second,
+        // far longer than the submissions below take.
+        let slow = FaultPlan {
+            seed: 3,
+            spec: FaultSpec {
+                slow_rate: 1.0,
+                slow_factor: 4.0,
+                ..FaultSpec::none()
+            },
+        };
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            queue_cap: 1,
+            fault: Some(slow),
+            batch: Some(BatchPolicy {
+                max_batch: 2,
+                max_queue_delay_ms: 60_000.0,
+                max_backlog: 0,
+            }),
+            ..ServeConfig::golden()
+        });
+        let busy = server
+            .submit(golden_request(
+                "model=gcn dataset=cora scale=0.05 shards=2 partitioner=range",
+            ))
+            .unwrap();
+        while server.stats().queue_depth > 0 {
+            std::thread::yield_now();
+        }
+        // An unbuildable singleton fills the queue behind it...
+        let queued = server
+            .submit(golden_request(
+                "model=sage comp=spmm dataset=cora scale=0.05",
+            ))
+            .unwrap();
+        // ...so the batch these two fill finds no room.
+        let members: Vec<_> = ["gcn", "gin"]
+            .iter()
+            .map(|model| {
+                let line = format!("model={model} dataset=cora scale=0.05");
+                server.submit(golden_request(&line)).unwrap()
+            })
+            .collect();
+        for rx in members {
+            let done = rx.recv().expect("a shed member is answered");
+            assert_eq!(done.reject, Some(RejectReason::QueueFull));
+            assert!(
+                done.to_line().contains("code=queue-full"),
+                "{}",
+                done.to_line()
+            );
+        }
+        let stats = server.stats();
+        assert_eq!(stats.rejected, 2, "every member counts");
+        assert_eq!((stats.batches, stats.batched_requests), (3, 4));
+        assert!(busy.recv().unwrap().outcome.is_ok());
+        assert!(queued.recv().unwrap().outcome.is_err());
         server.shutdown();
     }
 

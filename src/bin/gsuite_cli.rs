@@ -162,10 +162,10 @@ fn print_help() {
                                   --fault-seed injects a seeded mixed\n\
                                   fault plan at --fault-rate (0.1);\n\
                                   --batch merges up to N compatible\n\
-                                  queued requests into one batched Plan\n\
-                                  (window --batch-delay-ms, default 2;\n\
-                                  --batch-backlog bounds open windows,\n\
-                                  shedding mergeable submissions past it)\n\
+                                  requests into one batched Plan (a\n\
+                                  head waits --batch-delay-ms, default 2;\n\
+                                  --batch-backlog N sheds submissions\n\
+                                  that would open a batch past it)\n\
            loadgen [--scenario NAME] [--seed N] [--requests N]\n\
                    [--clients N | --rate RPS] [--clock sim|wall]\n\
                    [--workers N] [--threads N] [--queue N] [--cache-mb N]\n\
@@ -248,7 +248,7 @@ impl ServingFlags {
             "--batch" => self.batch_max = Some(parse_positive(args, i)?),
             "--batch-delay-ms" => {
                 let d: f64 = parse_num(take_value(args, i)?, "--batch-delay-ms", "milliseconds")?;
-                if d < 0.0 {
+                if d.is_nan() || d < 0.0 {
                     return Err("--batch-delay-ms expects a non-negative window".to_string());
                 }
                 self.batch_delay = Some(d);

@@ -21,10 +21,13 @@
 //!    across repeated runs and `--threads`; with `max_batch == 1` the
 //!    report collapses to the unbatched report byte-for-byte.
 //! 5. **Former properties** — the streaming [`BatchFormer`] matches a
-//!    brute-force reference model on random arrival sequences ×
-//!    policies, never violates `max_batch`/`max_queue_delay_ms`, never
-//!    starves a request, and preserves FIFO-within-batch order
+//!    brute-force reference model on random arrival sequences, timer
+//!    ticks and policies, never violates `max_batch`/`max_queue_delay_ms`,
+//!    never starves a request, and preserves FIFO-within-batch order
 //!    (mirrors the LRU/breaker oracle style in `tests/serve.rs`).
+//! 6. **One former, two clocks** — a batched stream forms the same
+//!    batches, sheds the same requests and completes the same work on
+//!    the sim clock and on the live server.
 
 use proptest::prelude::*;
 
@@ -32,8 +35,11 @@ use gsuite::core::config::{CompModel, FrameworkKind, GnnModel, RunConfig};
 use gsuite::core::pipeline::{PipelineRun, WorkerScratch};
 use gsuite::core::plan::batchmerge::merge_class;
 use gsuite::core::plan::template::TemplateCache;
+use gsuite::scenarios::BenchOpts;
 use gsuite::serve::sim::{BatchArrival, BatchFormer, BatchPolicy, FormedBatch, FormerEvent};
-use gsuite::serve::{run_loadgen, run_loadgen_traced, ArrivalMode, ClockMode, LoadSpec};
+use gsuite::serve::{
+    run_loadgen, run_loadgen_traced, ArrivalMode, ClockMode, LoadReport, LoadSpec,
+};
 use gsuite::telemetry::json;
 
 /// Bitwise f32 equality — the differential layer's definition of
@@ -340,6 +346,13 @@ impl ModelFormer {
         }
     }
 
+    fn next_expiry(&self) -> Option<f64> {
+        self.open
+            .iter()
+            .map(|(head, _, _)| head + self.policy.max_queue_delay_ms)
+            .min_by(f64::total_cmp)
+    }
+
     fn dispatch_expired(&mut self, now: f64, out: &mut Vec<FormerEvent>) {
         // Oldest head first, full scan every time.
         while let Some(i) = self
@@ -414,24 +427,31 @@ impl ModelFormer {
     }
 }
 
-fn run_real(policy: BatchPolicy, arrivals: &[BatchArrival]) -> Vec<FormerEvent> {
+/// Drives the real former and the reference through the same arrivals,
+/// each preceded by an optional timer tick at `ticks[i]`, then flushes
+/// both; checks that both agree on the next expiry after every step.
+fn run_both(
+    policy: BatchPolicy,
+    arrivals: &[BatchArrival],
+    ticks: &[Option<f64>],
+) -> (Vec<FormerEvent>, Vec<FormerEvent>) {
     let mut former = BatchFormer::new(policy);
-    let mut events = Vec::new();
-    for a in arrivals {
-        former.offer(a.clone(), &mut |e| events.push(e));
-    }
-    former.flush(&mut |e| events.push(e));
-    events
-}
-
-fn run_model(policy: BatchPolicy, arrivals: &[BatchArrival]) -> Vec<FormerEvent> {
     let mut model = ModelFormer::new(policy);
-    let mut events = Vec::new();
-    for a in arrivals {
-        model.offer(a.clone(), &mut events);
+    let (mut real, mut reference) = (Vec::new(), Vec::new());
+    for (a, tick) in arrivals.iter().zip(ticks) {
+        if let Some(now) = *tick {
+            former.expire(now, &mut |e| real.push(e));
+            model.dispatch_expired(now, &mut reference);
+            assert_eq!(former.next_expiry(), model.next_expiry(), "after tick");
+        }
+        former.offer(a.clone(), &mut |e| real.push(e));
+        model.offer(a.clone(), &mut reference);
+        assert_eq!(former.next_expiry(), model.next_expiry(), "after offer");
     }
-    model.flush(&mut events);
-    events
+    former.flush(&mut |e| real.push(e));
+    model.flush(&mut reference);
+    assert_eq!(former.next_expiry(), None);
+    (real, reference)
 }
 
 /// The satellite's property bundle, checked on the real former's event
@@ -486,10 +506,12 @@ proptest! {
         delay_halves in 0u8..8,
         max_backlog in 0usize..4,
         steps in proptest::collection::vec(
-            // (gap, group): half-ms gaps keep every timestamp binary-exact,
-            // so reference and real former face identical tie-breaks;
-            // group 0 encodes "unmergeable" (`None`).
-            (0u8..5, 0usize..4),
+            // (gap, group, tick): half-ms gaps keep every timestamp
+            // binary-exact, so reference and real former face identical
+            // tie-breaks; group 0 encodes "unmergeable" (`None`); tick 1
+            // fires a timer halfway through the gap, tick 2 at the
+            // arrival's own instant, tick 0 none.
+            (0u8..5, 0usize..4, 0u8..3),
             0..60,
         ),
     ) {
@@ -499,18 +521,72 @@ proptest! {
             max_backlog,
         };
         let mut at_ms = 0.0;
-        let arrivals: Vec<BatchArrival> = steps
+        let (arrivals, ticks): (Vec<BatchArrival>, Vec<Option<f64>>) = steps
             .iter()
             .enumerate()
-            .map(|(i, &(gap, group))| {
-                at_ms += f64::from(gap) * 0.5;
+            .map(|(i, &(gap, group, tick))| {
+                let gap_ms = f64::from(gap) * 0.5;
+                at_ms += gap_ms;
+                let tick = match tick {
+                    1 => Some(at_ms - gap_ms * 0.5),
+                    2 => Some(at_ms),
+                    _ => None,
+                };
                 let group = group.checked_sub(1);
-                BatchArrival { index: i as u64, key: i % 5, group, at_ms }
+                (BatchArrival { index: i as u64, key: i % 5, group, at_ms }, tick)
             })
-            .collect();
-        let real = run_real(policy, &arrivals);
-        let model = run_model(policy, &arrivals);
+            .unzip();
+        let (real, model) = run_both(policy, &arrivals, &ticks);
         prop_assert_eq!(&real, &model, "streaming former diverged from reference");
         check_former_invariants(policy, &arrivals, &real);
     }
+}
+
+// ---------------------------------------------------------------------------
+// 6. One former, two clocks: the sim and the live server batch alike.
+// ---------------------------------------------------------------------------
+
+/// One batched open-loop stream on both clocks. The whole burst arrives
+/// far inside the 500 ms delay, so the former's decisions depend only on
+/// arrival order, merge keys and the policy, which both clocks share.
+/// Coalescing and cache counters stay out: a singleton's coalescing
+/// depends on execution time.
+#[test]
+fn sim_and_wall_clocks_form_the_same_batches() {
+    let spec = |clock| LoadSpec {
+        scenario: "serve-mix".to_string(),
+        seed: 42,
+        requests: 48,
+        arrival: ArrivalMode::Open {
+            rate_rps: 100_000.0,
+        },
+        clock,
+        workers: 1,
+        batch: Some(BatchPolicy {
+            max_batch: 4,
+            max_queue_delay_ms: 500.0,
+            max_backlog: 2,
+        }),
+        opts: BenchOpts::golden(),
+        ..LoadSpec::default()
+    };
+    let counters = |r: &LoadReport| {
+        let b = r.batch.as_ref().expect("batched report");
+        (
+            r.completed,
+            r.errors,
+            r.rejected,
+            b.batches,
+            b.batched_requests,
+            b.shed,
+        )
+    };
+    let sim = run_loadgen(&spec(ClockMode::Sim)).expect("sim run");
+    assert_eq!(counters(&sim), (37, 8, 0, 16, 37, 11), "the sim's batching");
+    let wall = run_loadgen(&spec(ClockMode::Wall)).expect("wall run");
+    assert_eq!(
+        counters(&wall),
+        counters(&sim),
+        "the wall batched otherwise"
+    );
 }

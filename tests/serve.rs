@@ -568,3 +568,27 @@ fn cli_serve_answers_tcp_loadgen_and_stops() {
     let status = server.0.wait().expect("server exits");
     assert!(status.success(), "server exited with {status}");
 }
+
+/// A batch delay that is not a number would never expire a forming
+/// batch, so the CLI rejects it like a negative one.
+#[test]
+fn cli_rejects_a_nan_batch_delay() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gsuite-cli"))
+        .args([
+            "loadgen",
+            "--rate",
+            "200",
+            "--batch",
+            "4",
+            "--batch-delay-ms",
+            "nan",
+        ])
+        .output()
+        .expect("run gsuite-cli loadgen");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--batch-delay-ms expects a non-negative window"),
+        "{stderr}"
+    );
+}
