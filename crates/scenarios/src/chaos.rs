@@ -218,6 +218,7 @@ pub(crate) fn render_chaos(result: &ScenarioResult, _opts: &BenchOpts) -> Report
         };
         let (out, _) = simulate(&keys, at, &costs, params, None);
         let row = tally(&out, slo_ms);
+        let res = &out.counters.resilience;
         let base = *baseline_avail.get_or_insert(row.availability);
         table.row_owned(vec![
             p.label.to_string(),
@@ -226,9 +227,9 @@ pub(crate) fn render_chaos(result: &ScenarioResult, _opts: &BenchOpts) -> Report
             row.err.to_string(),
             row.shed.to_string(),
             row.timeouts.to_string(),
-            out.resilience.retries.to_string(),
-            out.resilience.breaker_trips.to_string(),
-            (out.resilience.degraded + out.resilience.stale_serves).to_string(),
+            res.retries.to_string(),
+            res.breaker_trips.to_string(),
+            (res.degraded + res.stale_serves).to_string(),
             format!("{:.1}", row.goodput_rps),
             ms(row.p99_ms),
             pct(row.slo),

@@ -22,9 +22,12 @@
 //! serving clocks: [`ResilienceConfig::cache_step`] picks an attempt's
 //! cache step (stale serve, refresh, O0 fallback),
 //! [`ResilienceConfig::retry_after_ms`] the backoff before a retry, and
-//! [`ResilienceSummary`] holds the counters. Each clock supplies only
-//! what is clock-shaped: its deadline-pressure test, how it enforces a
-//! deadline, how time passes and how a crash happens.
+//! [`ResilienceSummary`] holds the counters. It sits inside
+//! [`ServeCounters`], the one set of serving counters both clocks keep,
+//! with the shed and batch counting rules ([`ServeCounters::count_shed`],
+//! [`ServeCounters::count_batch`]). Each clock supplies only what is
+//! clock-shaped: its deadline-pressure test, how it enforces a deadline,
+//! how time passes and how a crash happens.
 //!
 //! All policy defaults are **inert**: a default [`ResilienceConfig`] with
 //! no [`FaultPlan`] leaves every fault-free code path bit-identical to a
@@ -558,6 +561,93 @@ impl ResilienceSummary {
     }
 }
 
+/// Cross-request batching counters of one serving run; all zero when
+/// nothing passed a batch former.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct BatchSummary {
+    /// Batches dispatched (singleton dispatches included).
+    pub batches: u64,
+    /// Requests that resolved through a dispatched batch.
+    pub batched_requests: u64,
+    /// Requests shed by the batch former's admission control.
+    pub shed: u64,
+    /// `size_hist[i]` = dispatched batches of size `i + 1`.
+    pub size_hist: Vec<u64>,
+}
+
+impl BatchSummary {
+    /// Mean members per dispatched batch (`0` with no batches).
+    pub fn avg_size(&self) -> f64 {
+        if self.batches == 0 {
+            0.0
+        } else {
+            self.batched_requests as f64 / self.batches as f64
+        }
+    }
+}
+
+/// The serving counters both clocks keep the same way: coalescing,
+/// shedding, resilience, plan templates and batching. The sim clock and
+/// the live server each hold one, and a load-generation report carries
+/// its run's.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ServeCounters {
+    /// Requests that shared an in-flight identical execution.
+    pub coalesced: u64,
+    /// Requests shed by the bounded queue (a merged batch shed as a unit
+    /// counts every member).
+    pub rejected: u64,
+    /// Retry, deadline, crash, breaker and degradation counters.
+    pub resilience: ResilienceSummary,
+    /// Plan-template fast-path builds: charged builds served at the
+    /// instantiate share (sim clock), or template-cache lookup hits
+    /// (wall clock).
+    pub tpl_hits: u64,
+    /// Template-carrying builds that paid the full compile (sim clock),
+    /// or template-cache lookup misses (wall clock).
+    pub tpl_misses: u64,
+    /// Cross-request batching counters.
+    pub batch: BatchSummary,
+}
+
+impl ServeCounters {
+    /// Counts a request shed before any work ran under its reason's
+    /// counter: `rejected` for a full queue, `resilience.circuit_open`
+    /// for an open breaker, `batch.shed` for the batch backlog.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a reason that is not a shed ([`RejectReason::is_shed`]).
+    pub fn count_shed(&mut self, reason: RejectReason) {
+        let counter = match reason {
+            RejectReason::QueueFull => &mut self.rejected,
+            RejectReason::CircuitOpen => &mut self.resilience.circuit_open,
+            RejectReason::BatchBacklog => &mut self.batch.shed,
+            RejectReason::DeadlineExceeded | RejectReason::Crashed => {
+                unreachable!("{reason} is not a shed")
+            }
+        };
+        *counter += 1;
+    }
+
+    /// Counts one batch the former dispatched with `size` members,
+    /// singletons included.
+    pub fn count_batch(&mut self, size: usize) {
+        let b = &mut self.batch;
+        b.batches += 1;
+        b.batched_requests += size as u64;
+        if b.size_hist.len() < size {
+            b.size_hist.resize(size, 0);
+        }
+        b.size_hist[size - 1] += 1;
+    }
+
+    /// Requests shed before any work ran, whatever the reason.
+    pub fn shed(&self) -> u64 {
+        self.rejected + self.resilience.circuit_open + self.batch.shed
+    }
+}
+
 /// Why a request was rejected or failed without a result — the typed
 /// taxonomy the protocol surfaces as distinct response codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -812,5 +902,31 @@ mod tests {
             assert_eq!(RejectReason::parse(reason.code()), Some(reason));
         }
         assert_eq!(RejectReason::parse("nope"), None);
+    }
+
+    #[test]
+    fn serve_counters_count_sheds_and_batches_by_one_rule() {
+        let mut c = ServeCounters::default();
+        for reason in [
+            RejectReason::QueueFull,
+            RejectReason::CircuitOpen,
+            RejectReason::CircuitOpen,
+            RejectReason::BatchBacklog,
+        ] {
+            assert!(reason.is_shed());
+            c.count_shed(reason);
+        }
+        assert_eq!(
+            (c.rejected, c.resilience.circuit_open, c.batch.shed),
+            (1, 2, 1)
+        );
+        assert_eq!(c.shed(), 4);
+        for size in [3, 1, 3] {
+            c.count_batch(size);
+        }
+        assert_eq!((c.batch.batches, c.batch.batched_requests), (3, 7));
+        assert_eq!(c.batch.size_hist, vec![1, 0, 2]);
+        assert!((c.batch.avg_size() - 7.0 / 3.0).abs() < 1e-12);
+        assert_eq!(BatchSummary::default().avg_size(), 0.0);
     }
 }

@@ -231,18 +231,14 @@ pub(crate) fn render_servebatch(result: &ScenarioResult, opts: &BenchOpts) -> Re
         for p in policies(load.delay_ms) {
             let out = replay(&costs, rate_rps, p.policy);
             let row = tally(&out, load.slo_ms);
-            let avg_size = if out.batches == 0 {
-                0.0
-            } else {
-                out.batched_requests as f64 / out.batches as f64
-            };
+            let batch = &out.counters.batch;
             table.row_owned(vec![
                 format!("{rate_rps:.1}"),
                 p.label.to_string(),
                 row.ok.to_string(),
                 row.shed.to_string(),
-                out.batches.to_string(),
-                format!("{avg_size:.2}"),
+                batch.batches.to_string(),
+                format!("{:.2}", batch.avg_size()),
                 format!("{:.1}", row.goodput_rps),
                 ms(row.p99_ms),
                 pct(row.slo),

@@ -53,7 +53,7 @@
 
 use crate::cache::{ByteLru, LruStats};
 use crate::resilience::{
-    CacheStep, CircuitBreaker, FaultDraw, FaultPlan, ResilienceConfig, ResilienceSummary,
+    CacheStep, CircuitBreaker, FaultDraw, FaultPlan, RejectReason, ResilienceConfig, ServeCounters,
 };
 use gsuite_telemetry::{Attr, ClockDomain, SpanId, SpanSink, Trace};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -274,30 +274,11 @@ pub struct SimOutcome {
     pub records: Vec<SimRecord>,
     /// Cache counters after the run.
     pub cache: LruStats,
-    /// Requests that shared an in-flight execution.
-    pub coalesced: u64,
-    /// Requests shed by the bounded queue.
-    pub rejected: u64,
-    /// Retry, deadline, crash, breaker and degradation counters.
-    pub resilience: ResilienceSummary,
-    /// Charged builds served at the instantiate share because their
-    /// plan-template group was already installed ([`SimCosts::template`]).
-    /// Zero when no cost record carries a template group.
-    pub template_hits: u64,
-    /// Charged builds of template-carrying configurations that paid the
-    /// full compile cost (and installed their group).
-    pub template_misses: u64,
-    /// Batches dispatched by the batch former (singleton dispatches
-    /// included). Zero on unbatched runs.
-    pub batches: u64,
-    /// Requests that resolved through a dispatched batch.
-    pub batched_requests: u64,
-    /// Requests shed by the batch former's admission control
-    /// ([`BatchPolicy::max_backlog`]).
-    pub batch_shed: u64,
-    /// `batch_size_hist[i]` = dispatched batches of size `i + 1`.
-    /// Empty on unbatched runs.
-    pub batch_size_hist: Vec<u64>,
+    /// Coalescing, shedding, resilience, template and batching counters.
+    /// The template counters stay zero when no cost record carries a
+    /// template group ([`SimCosts::template`]), the batching counters on
+    /// unbatched runs.
+    pub counters: ServeCounters,
     /// Last completion time (ms since sim start).
     pub makespan_ms: f64,
 }
@@ -406,15 +387,9 @@ struct ServiceSim<'a> {
     installed_batch_shapes: std::collections::HashSet<Vec<usize>>,
     /// Per-config breakers, present only when the policy enables them.
     breakers: Option<Vec<CircuitBreaker>>,
-    coalesced: u64,
-    rejected: u64,
-    resilience: ResilienceSummary,
-    template_hits: u64,
-    template_misses: u64,
-    batches: u64,
-    batched_requests: u64,
-    batch_shed: u64,
-    batch_size_hist: Vec<u64>,
+    /// The run's counters; `breaker_trips` is summed from `breakers` at
+    /// the end.
+    counters: ServeCounters,
     makespan_ms: f64,
     /// Span recorder, present only in traced runs. The numeric model
     /// never branches on it.
@@ -435,15 +410,7 @@ impl<'a> ServiceSim<'a> {
             installed_templates: std::collections::HashSet::new(),
             installed_batch_shapes: std::collections::HashSet::new(),
             breakers,
-            coalesced: 0,
-            rejected: 0,
-            resilience: ResilienceSummary::default(),
-            template_hits: 0,
-            template_misses: 0,
-            batches: 0,
-            batched_requests: 0,
-            batch_shed: 0,
-            batch_size_hist: Vec::new(),
+            counters: ServeCounters::default(),
             makespan_ms: 0.0,
             tracer: spans.map(|profiles| SimTracer {
                 sink: SpanSink::new(),
@@ -464,13 +431,13 @@ impl<'a> ServiceSim<'a> {
     /// zero-duration `request` root on the admission lane, and returns
     /// its record.
     fn shed(&mut self, key: usize, t: f64, disposition: SimDisposition) -> SimRecord {
-        let (counter, name) = match disposition {
-            SimDisposition::CircuitOpen => (&mut self.resilience.circuit_open, "circuit-open"),
-            SimDisposition::Rejected => (&mut self.rejected, "rejected"),
-            SimDisposition::BatchShed => (&mut self.batch_shed, "batch-shed"),
+        let (reason, name) = match disposition {
+            SimDisposition::CircuitOpen => (RejectReason::CircuitOpen, "circuit-open"),
+            SimDisposition::Rejected => (RejectReason::QueueFull, "rejected"),
+            SimDisposition::BatchShed => (RejectReason::BatchBacklog, "batch-shed"),
             other => unreachable!("{other:?} is not a shed disposition"),
         };
-        *counter += 1;
+        self.counters.count_shed(reason);
         let track = self.admission_track();
         if let Some(tr) = self.tracer.as_mut() {
             tr.sink.record(
@@ -667,7 +634,7 @@ impl<'a> ServiceSim<'a> {
 
         // Coalescing window: an identical configuration is in flight.
         if let Some(e) = self.in_flight.iter().find(|e| e.key == key) {
-            self.coalesced += 1;
+            self.counters.coalesced += 1;
             let finish = e.finish_ms;
             let start = e.start_ms;
             let track = e.worker as u32;
@@ -734,7 +701,7 @@ impl<'a> ServiceSim<'a> {
         // (the worker is untouched).
         if let Some(dl) = deadline {
             if start >= dl {
-                self.resilience.timeouts += 1;
+                self.counters.resilience.timeouts += 1;
                 if let (Some(root), Some(tr)) = (root, self.tracer.as_mut()) {
                     tr.sink
                         .record("queue", Some(root), w as u32, t, dl - t, vec![]);
@@ -884,7 +851,7 @@ impl<'a> ServiceSim<'a> {
                 );
             }
             clock += attempt_ms;
-            self.resilience.count_step(kind);
+            self.counters.resilience.count_step(kind);
             if let CacheStep::Miss | CacheStep::Refresh = kind {
                 self.cache.insert(key, clock, cost.bytes);
                 // The charged build installs the shape's template
@@ -892,9 +859,9 @@ impl<'a> ServiceSim<'a> {
                 // later loss of the attempt's result).
                 if let Some(g) = cost.template {
                     if template_hit {
-                        self.template_hits += 1;
+                        self.counters.tpl_hits += 1;
                     } else {
-                        self.template_misses += 1;
+                        self.counters.tpl_misses += 1;
                     }
                     self.installed_templates.insert(g);
                 }
@@ -904,13 +871,13 @@ impl<'a> ServiceSim<'a> {
             // seeded jittered backoff while the policy allows.
             if draw.crash || draw.transient {
                 if draw.crash {
-                    self.resilience.crashed += 1;
+                    self.counters.resilience.crashed += 1;
                     any_crash = true;
                 }
                 let cause = if draw.crash { "crash" } else { "transient" };
                 let plan = self.params.fault.as_ref();
                 if let Some(backoff) = self.params.resilience.retry_after_ms(plan, req, attempt) {
-                    self.resilience.retries += 1;
+                    self.counters.resilience.retries += 1;
                     if let (Some(root), Some(tr)) = (root, self.tracer.as_mut()) {
                         tr.sink.record(
                             "retry",
@@ -996,7 +963,7 @@ impl<'a> ServiceSim<'a> {
         root: Option<SpanId>,
     ) -> SimRecord {
         self.worker_free[w] = dl;
-        self.resilience.timeouts += 1;
+        self.counters.resilience.timeouts += 1;
         self.record_breaker(key, dl, false);
         if let Some(root) = root {
             if let Some(tr) = self.tracer.as_mut() {
@@ -1022,25 +989,15 @@ impl<'a> ServiceSim<'a> {
     }
 
     /// The run's outcome, plus its span stream when traced.
-    fn into_outcome(self, records: Vec<SimRecord>) -> (SimOutcome, Option<Trace>) {
+    fn into_outcome(mut self, records: Vec<SimRecord>) -> (SimOutcome, Option<Trace>) {
+        self.counters.resilience.breaker_trips = self
+            .breakers
+            .as_ref()
+            .map_or(0, |bs| bs.iter().map(CircuitBreaker::trips).sum());
         let outcome = SimOutcome {
             records,
             cache: self.cache.stats(),
-            coalesced: self.coalesced,
-            rejected: self.rejected,
-            resilience: ResilienceSummary {
-                breaker_trips: self
-                    .breakers
-                    .as_ref()
-                    .map_or(0, |bs| bs.iter().map(CircuitBreaker::trips).sum()),
-                ..self.resilience
-            },
-            template_hits: self.template_hits,
-            template_misses: self.template_misses,
-            batches: self.batches,
-            batched_requests: self.batched_requests,
-            batch_shed: self.batch_shed,
-            batch_size_hist: self.batch_size_hist,
+            counters: self.counters,
             makespan_ms: self.makespan_ms,
         };
         let trace = self.tracer.map(|tr| tr.sink.finish(ClockDomain::Sim));
@@ -1116,9 +1073,9 @@ impl<'a> ServiceSim<'a> {
         let mut batch_build = build_max + BATCH_MEMBER_BUILD_SHARE * (build_sum - build_max);
         if self.installed_batch_shapes.contains(&leaders) {
             batch_build *= TEMPLATE_BUILD_SHARE;
-            self.template_hits += 1;
+            self.counters.tpl_hits += 1;
         } else {
-            self.template_misses += 1;
+            self.counters.tpl_misses += 1;
             self.installed_batch_shapes.insert(leaders.clone());
         }
         let duration = batch_build + fixed_max + marginal_sum;
@@ -1154,7 +1111,7 @@ impl<'a> ServiceSim<'a> {
             let disposition = if lead {
                 SimDisposition::Done(CacheDisposition::Miss)
             } else {
-                self.coalesced += 1;
+                self.counters.coalesced += 1;
                 SimDisposition::Done(CacheDisposition::Coalesced)
             };
             if let Some(tr) = self.tracer.as_mut() {
@@ -1252,14 +1209,8 @@ impl<'a> ServiceSim<'a> {
                 }
                 FormerEvent::Dispatch(b) => b,
             };
-            let size = b.members.len();
-            self.batches += 1;
-            self.batched_requests += size as u64;
-            if self.batch_size_hist.len() < size {
-                self.batch_size_hist.resize(size, 0);
-            }
-            self.batch_size_hist[size - 1] += 1;
-            if size == 1 {
+            self.counters.count_batch(b.members.len());
+            if b.members.len() == 1 {
                 // The full solo machinery, dispatched at the former's
                 // release; time spent forming counts as queueing (a zero
                 // wait leaves the record — and the max_batch=1
@@ -1666,7 +1617,7 @@ fn min_index(xs: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::{BreakerConfig, FaultSpec, RetryPolicy};
+    use crate::resilience::{BatchSummary, BreakerConfig, FaultSpec, RetryPolicy};
 
     fn costs(n: usize, service: f64, build: f64, bytes: u64) -> Vec<SimCosts> {
         (0..n)
@@ -1731,7 +1682,7 @@ mod tests {
         assert_eq!(out.records[2].latency_ms, 10.0);
         assert_eq!(out.cache.hits, 2);
         assert_eq!(out.cache.misses, 1);
-        assert_eq!(out.coalesced, 0);
+        assert_eq!(out.counters.coalesced, 0);
     }
 
     #[test]
@@ -1748,13 +1699,16 @@ mod tests {
             10.0 + TEMPLATE_BUILD_SHARE * 8.0,
             "instantiate share + service"
         );
-        assert_eq!((out.template_misses, out.template_hits), (1, 1));
+        assert_eq!((out.counters.tpl_misses, out.counters.tpl_hits), (1, 1));
 
         // `template: None` reproduces the historical costs exactly.
         let plain = costs_plain(&costs);
         let legacy = open(&[0, 1], &[0.0, 20.0], &plain, params(1, 4, 1000));
         assert_eq!(legacy.records[1].latency_ms, 18.0);
-        assert_eq!((legacy.template_misses, legacy.template_hits), (0, 0));
+        assert_eq!(
+            (legacy.counters.tpl_misses, legacy.counters.tpl_hits),
+            (0, 0)
+        );
     }
 
     fn costs_plain(costs: &[SimCosts]) -> Vec<SimCosts> {
@@ -1772,7 +1726,7 @@ mod tests {
         let costs = costs(1, 10.0, 5.0, 100);
         // Second arrives while the first is still executing.
         let out = open(&[0, 0], &[0.0, 3.0], &costs, params(2, 4, 1000));
-        assert_eq!(out.coalesced, 1);
+        assert_eq!(out.counters.coalesced, 1);
         assert_eq!(out.records[1].latency_ms, 12.0); // finishes at 15, arrived at 3
         assert_eq!(
             out.records[1].disposition,
@@ -1789,7 +1743,7 @@ mod tests {
         // Three distinct configs at t=0 on one worker with queue depth 1:
         // first executes, second waits, third is shed.
         let out = open(&[0, 1, 2], &[0.0, 0.0, 0.0], &costs, params(1, 1, 1000));
-        assert_eq!(out.rejected, 1);
+        assert_eq!(out.counters.rejected, 1);
         assert_eq!(out.records[2].disposition, SimDisposition::Rejected);
         assert_eq!(out.records[1].queue_ms, 100.0);
     }
@@ -1811,7 +1765,7 @@ mod tests {
         let costs = costs(2, 10.0, 0.0, 1);
         let keys = [0, 1, 0, 1, 0, 1];
         let out = closed(&keys, 2, &costs, params(2, 8, 1000));
-        assert_eq!(out.rejected, 0);
+        assert_eq!(out.counters.rejected, 0);
         // Two clients, two workers, 10 ms each, 6 requests => 30 ms.
         assert_eq!(out.makespan_ms, 30.0);
         assert!(out.records.iter().all(|r| r.queue_ms == 0.0));
@@ -1865,7 +1819,12 @@ mod tests {
         let b = open(&keys, &arrivals, &costs, p);
         assert_eq!(a, b);
         // The fault mix actually fired something.
-        assert!(a.resilience.retries + a.resilience.timeouts + a.resilience.crashed > 0);
+        assert!(
+            a.counters.resilience.retries
+                + a.counters.resilience.timeouts
+                + a.counters.resilience.crashed
+                > 0
+        );
     }
 
     #[test]
@@ -1892,7 +1851,7 @@ mod tests {
         };
         let out = open(&[0], &[0.0], &costs, p);
         assert_eq!(out.records[0].disposition, SimDisposition::Error);
-        assert_eq!(out.resilience.retries, 2, "both retries spent");
+        assert_eq!(out.counters.resilience.retries, 2, "both retries spent");
         // 3 attempts x 10 ms plus two jittered backoffs in [2, 4) + [4, 8).
         assert!(out.records[0].latency_ms > 30.0);
         assert!(out.records[0].latency_ms < 42.0);
@@ -1914,7 +1873,7 @@ mod tests {
         };
         let out = open(&[0], &[0.0], &costs, no_retry);
         assert_eq!(out.records[0].disposition, SimDisposition::Crashed);
-        assert_eq!(out.resilience.crashed, 1);
+        assert_eq!(out.counters.resilience.crashed, 1);
         let with_retry = SimParams {
             resilience: ResilienceConfig {
                 retry: RetryPolicy::retries(3),
@@ -1924,7 +1883,7 @@ mod tests {
         };
         let out = open(&[0], &[0.0], &costs, with_retry);
         assert_eq!(
-            out.resilience.crashed, 4,
+            out.counters.resilience.crashed, 4,
             "initial attempt + 3 retries all crash"
         );
         assert_eq!(out.records[0].disposition, SimDisposition::Crashed);
@@ -1943,7 +1902,7 @@ mod tests {
         let out = open(&[0, 1], &[0.0, 10.0], &costs, p);
         assert_eq!(out.records[0].disposition, SimDisposition::TimedOut);
         assert_eq!(out.records[0].latency_ms, 50.0);
-        assert_eq!(out.resilience.timeouts, 2);
+        assert_eq!(out.counters.resilience.timeouts, 2);
         // The worker was reclaimed at t=50, so the second request starts
         // there — and times out at its own deadline (10 + 50).
         assert_eq!(out.records[1].queue_ms, 40.0);
@@ -1970,9 +1929,9 @@ mod tests {
         let keys = vec![0usize; 8];
         let arrivals: Vec<f64> = (0..8).map(|i| i as f64 * 10.0).collect();
         let out = open(&keys, &arrivals, &c, p);
-        assert_eq!(out.resilience.breaker_trips, 1);
+        assert_eq!(out.counters.resilience.breaker_trips, 1);
         assert_eq!(
-            out.resilience.circuit_open, 4,
+            out.counters.resilience.circuit_open, 4,
             "after 4 failures the rest are shed"
         );
         assert!(out.records[7].disposition == SimDisposition::CircuitOpen);
@@ -1999,8 +1958,8 @@ mod tests {
         assert_eq!(out.records[0].latency_ms, 20.0);
         // Degraded builds are not cached: the second request degrades too.
         assert_eq!(out.cache.entries, 0);
-        assert_eq!(out.resilience.degraded, 2);
-        assert_eq!(out.resilience.timeouts, 0);
+        assert_eq!(out.counters.resilience.degraded, 2);
+        assert_eq!(out.counters.resilience.timeouts, 0);
 
         // Refresh past the soft TTL happens in line when the budget
         // allows it.
@@ -2016,7 +1975,7 @@ mod tests {
         let out = open(&[0, 0], &[0.0, 100.0], &costs, warm);
         // Entry built at t=30; at t=100 it is 70 ms old (> 50 TTL) and the
         // refresh (30 ms) fits the 200 ms deadline: refreshed in line.
-        assert_eq!(out.resilience.stale_serves, 0);
+        assert_eq!(out.counters.resilience.stale_serves, 0);
         assert_eq!(out.records[1].latency_ms, 30.0);
         assert_eq!(out.cache.hits, 1);
         assert_eq!(out.cache.insertions, 2, "the refresh re-inserts");
@@ -2050,13 +2009,13 @@ mod tests {
         // 115, budget left is 20 ms (deadline 135): the 30 ms refresh
         // does not fit, the 10 ms stale serve does.
         let out = open(&[0, 1, 0], &[0.0, 90.0, 100.0], &c, p);
-        assert_eq!(out.resilience.stale_serves, 1);
+        assert_eq!(out.counters.resilience.stale_serves, 1);
         assert_eq!(
             out.records[2].disposition,
             SimDisposition::Done(CacheDisposition::Hit)
         );
         assert_eq!(out.records[2].latency_ms, 25.0); // 15 queued + 10 served
-        assert_eq!(out.resilience.timeouts, 0);
+        assert_eq!(out.counters.resilience.timeouts, 0);
     }
 
     #[test]
@@ -2176,7 +2135,7 @@ mod tests {
             batch: None,
         };
         let (out, trace) = traced(&[0], arrivals, &costs, degrade, &[]);
-        assert_eq!(out.resilience.degraded, 1);
+        assert_eq!(out.counters.resilience.degraded, 1);
         assert!(trace.spans.iter().any(|s| s.name == "degrade"));
         let build: Vec<_> = trace.spans.iter().filter(|s| s.name == "build").collect();
         assert_eq!(build.len(), 1);
@@ -2330,14 +2289,12 @@ mod tests {
             max_backlog: 2,
         };
         let batched = batched(&keys, &arrivals, &costs, p, policy);
-        assert_eq!(batched.batches, 60);
-        assert_eq!(batched.batched_requests, 60);
-        assert_eq!(batched.batch_size_hist, vec![60]);
-        assert_eq!(batched.batch_shed, 0);
+        assert_eq!(batched.counters.batch.batches, 60);
+        assert_eq!(batched.counters.batch.batched_requests, 60);
+        assert_eq!(batched.counters.batch.size_hist, vec![60]);
+        assert_eq!(batched.counters.batch.shed, 0);
         let mut stripped = batched.clone();
-        stripped.batches = 0;
-        stripped.batched_requests = 0;
-        stripped.batch_size_hist = Vec::new();
+        stripped.counters.batch = BatchSummary::default();
         assert_eq!(
             stripped, unbatched,
             "max_batch=1 must reproduce the unbatched run"
@@ -2383,10 +2340,10 @@ mod tests {
         // so the build drops to the instantiate share (5 · 0.25 =
         // 1.25); finish = 100.5 + 13.25.
         assert_eq!(out.records[2].latency_ms, 13.75);
-        assert_eq!((out.template_misses, out.template_hits), (1, 1));
-        assert_eq!(out.batches, 2);
-        assert_eq!(out.batched_requests, 4);
-        assert_eq!(out.batch_size_hist, vec![0, 2]);
+        assert_eq!((out.counters.tpl_misses, out.counters.tpl_hits), (1, 1));
+        assert_eq!(out.counters.batch.batches, 2);
+        assert_eq!(out.counters.batch.batched_requests, 4);
+        assert_eq!(out.counters.batch.size_hist, vec![0, 2]);
 
         // The same stream unbatched keeps full per-request costs: the
         // merged run strictly beats it on makespan.
@@ -2423,7 +2380,7 @@ mod tests {
         // model) dispatches immediately as a plain miss.
         assert_eq!(out.records[1].disposition, SimDisposition::BatchShed);
         assert_eq!(out.records[1].latency_ms, 0.0);
-        assert_eq!(out.batch_shed, 1);
+        assert_eq!(out.counters.batch.shed, 1);
         assert_eq!(out.records[2].submit_ms, 2.0);
         assert_eq!(out.records[2].latency_ms, 14.0);
         // 0's lonely batch dispatches as a singleton at its deadline;
@@ -2431,7 +2388,7 @@ mod tests {
         assert_eq!(out.records[0].submit_ms, 0.0);
         assert_eq!(out.records[0].queue_ms, 100.0);
         assert_eq!(out.records[0].latency_ms, 114.0);
-        assert_eq!(out.batches, 2);
+        assert_eq!(out.counters.batch.batches, 2);
     }
 
     #[test]
@@ -2466,7 +2423,7 @@ mod tests {
             params(2, 8, 1000),
             policy,
         );
-        assert_eq!(out.coalesced, 1);
+        assert_eq!(out.counters.coalesced, 1);
         assert_eq!(
             out.records[2].disposition,
             SimDisposition::Done(CacheDisposition::Coalesced)
@@ -2500,7 +2457,7 @@ mod tests {
         let (out, a) = traced(&keys, arrivals, &costs, p, &[]);
         assert_eq!(plain, out, "tracing must never perturb the model");
         assert!(
-            plain.batch_size_hist.len() > 1,
+            plain.counters.batch.size_hist.len() > 1,
             "some real merging happened"
         );
         let (_, b) = traced(&keys, arrivals, &costs, p, &[]);

@@ -2,13 +2,14 @@
 //!
 //! The declarative fault model ([`FaultPlan`], [`FaultSpec`]), the
 //! resilience policy ([`ResilienceConfig`], [`RetryPolicy`],
-//! [`BreakerConfig`], [`CircuitBreaker`], [`RejectReason`]) and the
+//! [`BreakerConfig`], [`CircuitBreaker`], [`RejectReason`]), the
 //! per-request rules both serving clocks apply ([`CacheStep`],
-//! [`ResilienceConfig::cache_step`], [`ResilienceConfig::retry_after_ms`],
-//! [`ResilienceSummary`]) live in [`gsuite_scenarios::resilience`], where
-//! the live server, the sim clock and the registry's `chaos` scenario can
-//! all reach them; this module re-exports them and adds the serve-side
-//! glue:
+//! [`ResilienceConfig::cache_step`], [`ResilienceConfig::retry_after_ms`])
+//! and the counters both keep ([`ServeCounters`], with its
+//! [`ResilienceSummary`] and [`BatchSummary`]) live in
+//! [`gsuite_scenarios::resilience`], where the live server, the sim clock
+//! and the registry's `chaos` scenario can all reach them; this module
+//! re-exports them and adds the serve-side glue:
 //!
 //! * [`plan_for`] — resolves the per-request `fault_seed` override
 //!   against the server's configured plan, so a chaos client can replay
@@ -21,8 +22,9 @@
 //!   decides which request draws which index.
 
 pub use gsuite_scenarios::resilience::{
-    BreakerConfig, BreakerState, CacheStep, CircuitBreaker, FaultDraw, FaultPlan, FaultRng,
-    FaultSpec, RejectReason, ResilienceConfig, ResilienceSummary, RetryPolicy,
+    BatchSummary, BreakerConfig, BreakerState, CacheStep, CircuitBreaker, FaultDraw, FaultPlan,
+    FaultRng, FaultSpec, RejectReason, ResilienceConfig, ResilienceSummary, RetryPolicy,
+    ServeCounters,
 };
 
 /// Resolves the effective fault plan for one request: the server's plan

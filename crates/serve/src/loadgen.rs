@@ -26,7 +26,7 @@ use gsuite_scenarios::{registry, BenchOpts, LruStats};
 use gsuite_telemetry::metrics::LATENCY_BUCKETS_MS;
 use gsuite_telemetry::{Attr, ClockDomain, MetricsRegistry, SpanSink, Trace};
 
-use crate::fault::{FaultPlan, RejectReason, ResilienceConfig, ResilienceSummary};
+use crate::fault::{BatchSummary, FaultPlan, RejectReason, ResilienceConfig, ServeCounters};
 use crate::request::ServeRequest;
 use crate::server::{
     entry_bytes, intern, merge_key, metric_help, Completion, ServeConfig, Server, SubmitError,
@@ -275,42 +275,6 @@ impl SloReport {
     }
 }
 
-/// Cross-request batching counters of one load-generation run. Present
-/// on the report only when the run had a [`BatchPolicy`] — unbatched
-/// reports keep the historical format byte-for-byte.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BatchSummary {
-    /// Batches dispatched (singleton dispatches included).
-    pub batches: u64,
-    /// Requests that resolved through a dispatched batch.
-    pub batched_requests: u64,
-    /// Requests shed by the batch former's admission control.
-    pub shed: u64,
-    /// `size_hist[i]` = dispatched batches of size `i + 1`.
-    pub size_hist: Vec<u64>,
-}
-
-impl BatchSummary {
-    /// Mean members per dispatched batch (`0` with no batches).
-    pub fn avg_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
-        }
-    }
-
-    /// The histogram as `size:count` pairs, skipping empty sizes.
-    fn hist_cells(&self) -> Vec<String> {
-        self.size_hist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| format!("{}:{}", i + 1, n))
-            .collect()
-    }
-}
-
 /// The load generator's result: counters, cache stats, throughput and the
 /// latency distribution.
 #[derive(Debug, Clone, PartialEq)]
@@ -329,21 +293,19 @@ pub struct LoadReport {
     pub requests: usize,
     /// Delivered completions (successful profiles + error responses).
     pub completed: u64,
-    /// Completions that were error responses (unbuildable configs).
+    /// Completions that were error responses: unbuildable configs,
+    /// timeouts, crashes and transient failures that exhausted their
+    /// retries.
     pub errors: u64,
-    /// Requests shed by the bounded queue.
-    pub rejected: u64,
-    /// Requests that shared an in-flight identical execution.
-    pub coalesced: u64,
+    /// The run's coalescing, shedding, resilience, template and batching
+    /// counters. On the sim and wall clocks the resilience counters stay
+    /// zero when [`LoadReport::fault_mode`] is false, and the batching
+    /// counters on unbatched runs (which keeps those reports
+    /// byte-identical to the historical format). On TCP they are the
+    /// server's per-run deltas, whatever the client's own spec.
+    pub counters: ServeCounters,
     /// Cache counters after the run.
     pub cache: LruStats,
-    /// Plan-template fast-path builds: charged builds served at the
-    /// instantiate share (sim clock), or the server's template-cache
-    /// hits (wall clock). Zero on clocks that do not surface them (TCP).
-    pub tpl_hits: u64,
-    /// Template-carrying builds that paid the full compile (sim clock),
-    /// or the server's template-cache misses (wall clock).
-    pub tpl_misses: u64,
     /// Completed requests per second over the makespan.
     pub throughput_rps: f64,
     /// First-submission-to-last-completion milliseconds.
@@ -356,12 +318,6 @@ pub struct LoadReport {
     /// policy — gates the `outcome:` / `resilience:` report lines so
     /// fault-free reports keep the historical format byte-for-byte.
     pub fault_mode: bool,
-    /// Resilience counters (all zero when [`LoadReport::fault_mode`] is
-    /// false).
-    pub resilience: ResilienceSummary,
-    /// Cross-request batching counters; `None` (every unbatched run)
-    /// keeps the report byte-identical to the historical format.
-    pub batch: Option<BatchSummary>,
     /// Per-completed-request latencies in stream order — the
     /// reproducibility surface the determinism tests compare.
     pub latencies_ms: Vec<f64>,
@@ -373,9 +329,17 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// The batching counters when any request passed a batch former
+    /// (each one is dispatched or shed); `None` on unbatched runs.
+    fn batch(&self) -> Option<&BatchSummary> {
+        let b = &self.counters.batch;
+        (b.batches + b.shed > 0).then_some(b)
+    }
+
     /// Renders the human-readable report. In sim-clock mode the output is
     /// byte-stable across runs, hosts and thread counts.
     pub fn render(&self) -> String {
+        let c = &self.counters;
         let mut out = String::new();
         out.push_str("=== gsuite-serve :: loadgen report\n");
         out.push_str(&format!(
@@ -384,7 +348,7 @@ impl LoadReport {
         ));
         out.push_str(&format!(
             "universe={} configs | requests={} | completed={} (errors={}) | rejected={} | coalesced={}\n",
-            self.universe, self.requests, self.completed, self.errors, self.rejected, self.coalesced
+            self.universe, self.requests, self.completed, self.errors, c.rejected, c.coalesced
         ));
         out.push_str(&format!(
             "throughput: {:.1} req/s | makespan: {:.4} ms\n",
@@ -409,17 +373,17 @@ impl LoadReport {
             self.cache.capacity_bytes,
             self.cache.entries
         ));
-        if self.tpl_hits + self.tpl_misses > 0 {
+        if c.tpl_hits + c.tpl_misses > 0 {
             out.push_str(&format!(
                 "templates: hits={} misses={} hit-rate={:.1}%\n",
-                self.tpl_hits,
-                self.tpl_misses,
-                self.tpl_hits as f64 / (self.tpl_hits + self.tpl_misses) as f64 * 100.0
+                c.tpl_hits,
+                c.tpl_misses,
+                c.tpl_hits as f64 / (c.tpl_hits + c.tpl_misses) as f64 * 100.0
             ));
         }
         if self.fault_mode {
             let ok = self.completed.saturating_sub(self.errors);
-            let shed = self.rejected + self.resilience.circuit_open;
+            let shed = c.shed();
             let total = self.requests.max(1) as f64;
             out.push_str(&format!(
                 "outcome: ok={} ({:.1}%) failed={} ({:.1}%) shed={} ({:.1}%) | availability={:.1}%\n",
@@ -431,13 +395,13 @@ impl LoadReport {
                 shed as f64 / total * 100.0,
                 self.availability() * 100.0,
             ));
-            let r = &self.resilience;
+            let r = &c.resilience;
             out.push_str(&format!(
                 "resilience: retries={} timeouts={} crashed={} breaker-trips={} circuit-shed={} degraded={} stale={}\n",
                 r.retries, r.timeouts, r.crashed, r.breaker_trips, r.circuit_open, r.degraded, r.stale_serves
             ));
         }
-        if let Some(b) = &self.batch {
+        if let Some(b) = self.batch() {
             out.push_str(&format!(
                 "batch: batches={} batched={} avg-size={:.2} shed={}",
                 b.batches,
@@ -445,7 +409,13 @@ impl LoadReport {
                 b.avg_size(),
                 b.shed
             ));
-            let cells = b.hist_cells();
+            let cells: Vec<String> = b
+                .size_hist
+                .iter()
+                .enumerate()
+                .filter(|&(_, &n)| n > 0)
+                .map(|(i, &n)| format!("{}:{}", i + 1, n))
+                .collect();
             if !cells.is_empty() {
                 out.push_str(&format!(" | sizes {}", cells.join(" ")));
             }
@@ -488,8 +458,9 @@ impl LoadReport {
             ),
             None => String::new(),
         };
+        let c = &self.counters;
         let fault = if self.fault_mode {
-            let r = &self.resilience;
+            let r = &c.resilience;
             format!(
                 ",\n  \"availability\": {:.6},\n  \"resilience\": {{\"retries\": {}, \"timeouts\": {}, \
                  \"crashed\": {}, \"breaker_trips\": {}, \"circuit_open\": {}, \"degraded\": {}, \
@@ -506,12 +477,12 @@ impl LoadReport {
         } else {
             String::new()
         };
-        let templates = if self.tpl_hits + self.tpl_misses > 0 {
+        let templates = if c.tpl_hits + c.tpl_misses > 0 {
             format!(
                 ",\n  \"tpl_hits\": {},\n  \"tpl_misses\": {},\n  \"tpl_hit_rate\": {:.6}",
-                self.tpl_hits,
-                self.tpl_misses,
-                self.tpl_hits as f64 / (self.tpl_hits + self.tpl_misses) as f64
+                c.tpl_hits,
+                c.tpl_misses,
+                c.tpl_hits as f64 / (c.tpl_hits + c.tpl_misses) as f64
             )
         } else {
             String::new()
@@ -526,7 +497,7 @@ impl LoadReport {
                 .collect();
             format!(",\n  \"phases\": {{{}}}", cols.join(", "))
         };
-        let batch = match &self.batch {
+        let batch = match self.batch() {
             Some(b) => {
                 let hist: Vec<String> = b.size_hist.iter().map(u64::to_string).collect();
                 format!(
@@ -556,8 +527,8 @@ impl LoadReport {
             self.requests,
             self.completed,
             self.errors,
-            self.rejected,
-            self.coalesced,
+            c.rejected,
+            c.coalesced,
             self.cache.hits,
             self.cache.misses,
             self.cache.hit_rate(),
@@ -584,12 +555,12 @@ impl LoadReport {
     /// is byte-stable wherever the report itself is.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        let r = &self.resilience;
+        let r = &self.counters.resilience;
         let mut counters = vec![
             ("gsuite_loadgen_completed_total", self.completed),
             ("gsuite_loadgen_errors_total", self.errors),
-            ("gsuite_loadgen_rejected_total", self.rejected),
-            ("gsuite_loadgen_coalesced_total", self.coalesced),
+            ("gsuite_loadgen_rejected_total", self.counters.rejected),
+            ("gsuite_loadgen_coalesced_total", self.counters.coalesced),
             ("gsuite_cache_hits_total", self.cache.hits),
             ("gsuite_cache_misses_total", self.cache.misses),
             ("gsuite_cache_evictions_total", self.cache.evictions),
@@ -597,7 +568,7 @@ impl LoadReport {
             ("gsuite_resilience_timeouts_total", r.timeouts),
             ("gsuite_resilience_crashed_total", r.crashed),
             ("gsuite_resilience_breaker_trips_total", r.breaker_trips),
-            ("gsuite_resilience_circuit_open_total", r.circuit_open),
+            ("gsuite_resilience_breaker_shed_total", r.circuit_open),
             ("gsuite_resilience_degraded_total", r.degraded),
             ("gsuite_resilience_stale_serves_total", r.stale_serves),
         ];
@@ -607,7 +578,7 @@ impl LoadReport {
             ("gsuite_loadgen_throughput_rps", self.throughput_rps),
             ("gsuite_loadgen_makespan_ms", self.makespan_ms),
         ];
-        if let Some(b) = &self.batch {
+        if let Some(b) = self.batch() {
             counters.extend([
                 ("gsuite_batch_dispatched_total", b.batches),
                 ("gsuite_batch_requests_total", b.batched_requests),
@@ -642,7 +613,7 @@ impl LoadReport {
         reg
     }
 
-    /// Assembles a report from raw counters and a latency sample.
+    /// Assembles a report from a run's counters and latency sample.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         spec: &LoadSpec,
@@ -650,8 +621,7 @@ impl LoadReport {
         universe: usize,
         completed: u64,
         errors: u64,
-        rejected: u64,
-        coalesced: u64,
+        counters: ServeCounters,
         cache: LruStats,
         makespan_ms: f64,
         latencies_ms: Vec<f64>,
@@ -677,11 +647,8 @@ impl LoadReport {
             requests: spec.requests,
             completed,
             errors,
-            rejected,
-            coalesced,
+            counters,
             cache,
-            tpl_hits: 0,
-            tpl_misses: 0,
             throughput_rps: if makespan_ms > 0.0 {
                 completed as f64 / makespan_ms * 1e3
             } else {
@@ -691,8 +658,6 @@ impl LoadReport {
             latency,
             slo,
             fault_mode: spec.fault.is_some() || !spec.resilience.is_inert(),
-            resilience: ResilienceSummary::default(),
-            batch: None,
             latencies_ms,
             phases: Vec::new(),
         }
@@ -972,29 +937,17 @@ fn run_sim(
             }
         }
     }
-    let mut report = LoadReport::assemble(
+    let report = LoadReport::assemble(
         spec,
         "sim",
         universe.len(),
         completed,
         errors,
-        outcome.rejected,
-        outcome.coalesced,
+        outcome.counters,
         outcome.cache,
         outcome.makespan_ms,
         latencies,
     );
-    report.tpl_hits = outcome.template_hits;
-    report.tpl_misses = outcome.template_misses;
-    report.resilience = outcome.resilience;
-    if spec.batch.is_some() {
-        report.batch = Some(BatchSummary {
-            batches: outcome.batches,
-            batched_requests: outcome.batched_requests,
-            shed: outcome.batch_shed,
-            size_hist: outcome.batch_size_hist.clone(),
-        });
-    }
     (report, trace)
 }
 
@@ -1174,37 +1127,23 @@ fn run_wall(
         }
     }
     let makespan_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let stats = server.stats();
+    let (counters, cache) = (server.counters(), server.stats().cache);
     server.shutdown();
 
     results.sort_by_key(|&(i, _, _)| i);
     let errors = results.iter().filter(|&&(_, _, e)| e).count() as u64;
     let latencies: Vec<f64> = results.iter().map(|&(_, l, _)| l).collect();
-    let mut report = LoadReport::assemble(
+    let report = LoadReport::assemble(
         spec,
         "wall",
         universe.len(),
         results.len() as u64,
         errors,
-        stats.rejected,
-        stats.coalesced,
-        stats.cache,
+        counters,
+        cache,
         makespan_ms,
         latencies,
     );
-    report.tpl_hits = stats.tpl_hits;
-    report.tpl_misses = stats.tpl_misses;
-    report.resilience = stats.resilience();
-    if spec.batch.is_some() {
-        // The wall server does not keep a per-size histogram; the
-        // summary's average still falls out of the two counters.
-        report.batch = Some(BatchSummary {
-            batches: stats.batches,
-            batched_requests: stats.batched_requests,
-            shed: stats.batch_shed,
-            size_hist: Vec::new(),
-        });
-    }
     let trace = traced.then(|| {
         let mut captured = captured.into_inner().expect("capture buffer poisoned");
         wall_trace(&mut captured, universe, keys)

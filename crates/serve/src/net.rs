@@ -32,12 +32,10 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use gsuite_scenarios::LruStats;
-
 use crate::fault::RejectReason;
 use crate::loadgen::{ArrivalMode, LoadReport, LoadSpec, Step};
 use crate::request::ServeRequest;
-use crate::server::{ServeConfig, Server, ServerStats};
+use crate::server::{ServeConfig, Server, ServerStats, StatKind, STATS_FIELDS};
 
 /// The longest request line the server buffers, newline excluded.
 const MAX_LINE_BYTES: usize = 64 << 10;
@@ -320,39 +318,22 @@ fn sample_stats(client: &mut ProtocolClient) -> Result<ServerStats, String> {
         .ok_or_else(|| format!("the server answered `stats` with {reply:?}, not a stats line"))
 }
 
-/// The per-run view of the counters a TCP loadgen report carries — the
-/// cache, coalescing, shedding and resilience counters — against a
-/// possibly long-running server: deltas accrued between `before` and
-/// `after`, with point-in-time cache occupancy (bytes, capacity,
-/// entries) from `after`. Every other field is `after`'s as sampled.
+/// The per-run view of a possibly long-running server's counters: every
+/// counter key of the `stats` line is the delta accrued between `before`
+/// and `after`, every gauge (workers, queue depth, cache occupancy and
+/// capacity, device-memory peaks) is `after`'s as sampled.
 fn stats_since(after: &ServerStats, before: &ServerStats) -> ServerStats {
-    let d = |now: u64, then: u64| now.saturating_sub(then);
-    ServerStats {
-        coalesced: d(after.coalesced, before.coalesced),
-        rejected: d(after.rejected, before.rejected),
-        retries: d(after.retries, before.retries),
-        timeouts: d(after.timeouts, before.timeouts),
-        crashed: d(after.crashed, before.crashed),
-        breaker_trips: d(after.breaker_trips, before.breaker_trips),
-        breaker_shed: d(after.breaker_shed, before.breaker_shed),
-        degraded: d(after.degraded, before.degraded),
-        stale_serves: d(after.stale_serves, before.stale_serves),
-        cache: LruStats {
-            hits: d(after.cache.hits, before.cache.hits),
-            misses: d(after.cache.misses, before.cache.misses),
-            insertions: d(after.cache.insertions, before.cache.insertions),
-            evictions: d(after.cache.evictions, before.cache.evictions),
-            rejected: d(after.cache.rejected, before.cache.rejected),
-            ..after.cache
-        },
-        ..*after
+    let mut run = *after;
+    for f in STATS_FIELDS.iter().filter(|f| f.kind == StatKind::Counter) {
+        (f.set)(&mut run, (f.get)(after).saturating_sub((f.get)(before)));
     }
+    run
 }
 
 /// Drives a remote `gsuite-serve` endpoint with the spec's request stream
 /// (closed-loop only: each client connection submits its next request when
 /// the previous response arrives) and reports client-side wall latencies
-/// plus the server's own cache/coalescing counters.
+/// plus the server's own counters for the run.
 ///
 /// With `stop_server`, sends `shutdown` after the run — the CI smoke path.
 ///
@@ -415,20 +396,17 @@ pub fn loadgen_tcp(addr: &str, spec: &LoadSpec, stop_server: bool) -> Result<Loa
 
     let errors = results.iter().filter(|&&(_, _, e)| e).count() as u64;
     let latencies: Vec<f64> = results.iter().map(|&(_, l, _)| l).collect();
-    let mut report = LoadReport::assemble(
+    Ok(LoadReport::assemble(
         spec,
         "tcp",
         universe.len(),
         results.len() as u64,
         errors,
-        run_stats.rejected,
-        run_stats.coalesced,
+        run_stats.counters(),
         run_stats.cache,
         makespan_ms,
         latencies,
-    );
-    report.resilience = run_stats.resilience();
-    Ok(report)
+    ))
 }
 
 #[cfg(test)]
@@ -456,13 +434,19 @@ mod tests {
     fn stats_diff_is_per_run() {
         let before = parse(
             "stats coalesced=5 rejected=1 cache_hits=100 cache_misses=20 cache_insertions=20 \
-             cache_evictions=3 cache_rejected=0 cache_bytes=500 cache_capacity=1000 cache_entries=4",
+             cache_evictions=3 cache_rejected=0 cache_bytes=500 cache_capacity=1000 cache_entries=4 \
+             tpl_hits=7 tpl_misses=2 batches=10 batched_requests=30 peak_device_bytes=64",
         );
         let after = parse(
             "stats coalesced=9 rejected=1 cache_hits=130 cache_misses=25 cache_insertions=24 \
-             cache_evictions=3 cache_rejected=1 cache_bytes=700 cache_capacity=1000 cache_entries=6",
+             cache_evictions=3 cache_rejected=1 cache_bytes=700 cache_capacity=1000 cache_entries=6 \
+             tpl_hits=12 tpl_misses=2 batches=13 batched_requests=38 peak_device_bytes=96",
         );
         let run = stats_since(&after, &before);
+        // Every counter is this run's delta, templates and batches too.
+        assert_eq!((run.tpl_hits, run.tpl_misses), (5, 0));
+        assert_eq!((run.batches, run.batched_requests), (3, 8));
+        assert_eq!(run.counters().batch.avg_size(), 8.0 / 3.0);
         assert_eq!(run.cache.hits, 30);
         assert_eq!(run.cache.misses, 5);
         assert_eq!(run.cache.insertions, 4);
@@ -471,6 +455,7 @@ mod tests {
         assert_eq!(run.coalesced, 4);
         assert_eq!(run.rejected, 0);
         // Point-in-time values come from the end sample.
+        assert_eq!(run.peak_device_bytes, 96);
         assert_eq!(run.cache.bytes_in_use, 700);
         assert_eq!(run.cache.capacity_bytes, 1000);
         assert_eq!(run.cache.entries, 6);

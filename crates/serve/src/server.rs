@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 use gsuite_core::config::RunConfig;
 use gsuite_core::pipeline::{PipelineRun, WorkerScratch};
 use gsuite_core::plan::batchmerge::{merge_class, MergeClass};
-use gsuite_core::plan::template::{TemplateCache, TemplateKey};
+use gsuite_core::plan::template::{TemplateCache, TemplateKey, TemplateStats};
 use gsuite_core::plan::OptLevel;
 use gsuite_core::CoreError;
 use gsuite_graph::Graph;
@@ -75,8 +75,7 @@ use gsuite_scenarios::{BenchOpts, GpuSpec, LruStats};
 
 use crate::cache::ShardedByteLru;
 use crate::fault::{
-    CacheStep, CircuitBreaker, FaultDraw, FaultPlan, RejectReason, ResilienceConfig,
-    ResilienceSummary,
+    CacheStep, CircuitBreaker, FaultDraw, FaultPlan, RejectReason, ResilienceConfig, ServeCounters,
 };
 use crate::request::{CacheDisposition, ServeRequest};
 
@@ -296,7 +295,7 @@ impl std::fmt::Display for SubmitError {
 }
 
 /// A counter snapshot of the running service.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ServerStats {
     /// Worker-pool size.
     pub workers: usize,
@@ -335,7 +334,9 @@ pub struct ServerStats {
     /// Attempts that served a stale-but-valid cache entry past its soft
     /// TTL.
     pub stale_serves: u64,
-    /// Injected worker crashes caught by the supervisor.
+    /// Crashed attempts, retried or not: worker panics the supervisor
+    /// caught, injected or not, in solo attempts and merged batch
+    /// builds.
     pub crashed: u64,
     /// Worker respawns after caught crashes (one per crash — no crash
     /// loses its worker slot).
@@ -361,43 +362,19 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// The `stats` line's keys, in wire order. The order is part of the
-    /// protocol: new keys are only ever appended (so positional and
-    /// prefix parsers keep working), and the
-    /// `stats_line_round_trips_with_locked_key_order` test locks it.
-    pub const LINE_KEYS: [&'static str; 31] = [
-        "workers",
-        "queue",
-        "submitted",
-        "completed",
-        "coalesced",
-        "rejected",
-        "cache_hits",
-        "cache_misses",
-        "cache_insertions",
-        "cache_evictions",
-        "cache_rejected",
-        "cache_bytes",
-        "cache_capacity",
-        "cache_entries",
-        "peak_device_bytes",
-        "shard_peak_device_bytes",
-        "retries",
-        "timeouts",
-        "breaker_trips",
-        "breaker_shed",
-        "degraded",
-        "stale_serves",
-        "crashed",
-        "respawns",
-        "tpl_hits",
-        "tpl_misses",
-        "tpl_instantiates",
-        "lock_waits",
-        "batches",
-        "batched_requests",
-        "batch_shed",
-    ];
+    /// The `stats` line's keys, in wire order: the rows of the stats
+    /// table. The order is part of the protocol: new keys are only ever
+    /// appended (so positional and prefix parsers keep working), and the
+    /// `stats_line_and_metrics_text_are_locked` test locks it.
+    pub const LINE_KEYS: [&'static str; STATS_FIELDS.len()] = {
+        let mut keys = [""; STATS_FIELDS.len()];
+        let mut i = 0;
+        while i < keys.len() {
+            keys[i] = STATS_FIELDS[i].key;
+            i += 1;
+        }
+        keys
+    };
 
     /// Renders the wire-format `stats` response line. The resilience
     /// counters are appended after the historical fields, so existing
@@ -424,47 +401,11 @@ impl ServerStats {
     /// [`ServerStats::parse_line`] reads it back; the round trip is
     /// exact.
     pub fn to_line(&self) -> String {
-        format!(
-            "stats workers={} queue={} submitted={} completed={} coalesced={} rejected={} \
-             cache_hits={} cache_misses={} cache_insertions={} cache_evictions={} \
-             cache_rejected={} cache_bytes={} cache_capacity={} cache_entries={} \
-             peak_device_bytes={} shard_peak_device_bytes={} \
-             retries={} timeouts={} breaker_trips={} breaker_shed={} degraded={} \
-             stale_serves={} crashed={} respawns={} \
-             tpl_hits={} tpl_misses={} tpl_instantiates={} lock_waits={} \
-             batches={} batched_requests={} batch_shed={}",
-            self.workers,
-            self.queue_depth,
-            self.submitted,
-            self.completed,
-            self.coalesced,
-            self.rejected,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.insertions,
-            self.cache.evictions,
-            self.cache.rejected,
-            self.cache.bytes_in_use,
-            self.cache.capacity_bytes,
-            self.cache.entries,
-            self.peak_device_bytes,
-            self.shard_peak_device_bytes,
-            self.retries,
-            self.timeouts,
-            self.breaker_trips,
-            self.breaker_shed,
-            self.degraded,
-            self.stale_serves,
-            self.crashed,
-            self.respawns,
-            self.tpl_hits,
-            self.tpl_misses,
-            self.tpl_instantiates,
-            self.lock_waits,
-            self.batches,
-            self.batched_requests,
-            self.batch_shed,
-        )
+        let mut line = String::from("stats");
+        for f in STATS_FIELDS {
+            line.push_str(&format!(" {}={}", f.key, (f.get)(self)));
+        }
+        line
     }
 
     /// Parses a wire-format `stats` line back into a snapshot — the
@@ -479,59 +420,26 @@ impl ServerStats {
         if tokens.next() != Some("stats") {
             return None;
         }
-        let get = |key: &str| -> u64 {
-            line.split_whitespace()
-                .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
-                .unwrap_or(0)
-        };
-        Some(ServerStats {
-            workers: get("workers") as usize,
-            queue_depth: get("queue") as usize,
-            submitted: get("submitted"),
-            completed: get("completed"),
-            coalesced: get("coalesced"),
-            rejected: get("rejected"),
-            peak_device_bytes: get("peak_device_bytes"),
-            shard_peak_device_bytes: get("shard_peak_device_bytes"),
-            retries: get("retries"),
-            timeouts: get("timeouts"),
-            breaker_trips: get("breaker_trips"),
-            breaker_shed: get("breaker_shed"),
-            degraded: get("degraded"),
-            stale_serves: get("stale_serves"),
-            crashed: get("crashed"),
-            respawns: get("respawns"),
-            tpl_hits: get("tpl_hits"),
-            tpl_misses: get("tpl_misses"),
-            tpl_instantiates: get("tpl_instantiates"),
-            lock_waits: get("lock_waits"),
-            batches: get("batches"),
-            batched_requests: get("batched_requests"),
-            batch_shed: get("batch_shed"),
-            cache: LruStats {
-                hits: get("cache_hits"),
-                misses: get("cache_misses"),
-                insertions: get("cache_insertions"),
-                evictions: get("cache_evictions"),
-                rejected: get("cache_rejected"),
-                bytes_in_use: get("cache_bytes"),
-                capacity_bytes: get("cache_capacity"),
-                entries: get("cache_entries") as usize,
-            },
-        })
+        let mut stats = ServerStats::default();
+        for f in STATS_FIELDS {
+            let value = tokens
+                .clone()
+                .find_map(|tok| tok.strip_prefix(f.key)?.strip_prefix('=')?.parse().ok());
+            (f.set)(&mut stats, value.unwrap_or(0));
+        }
+        Some(stats)
     }
 
-    /// The resilience counters of the snapshot.
-    pub(crate) fn resilience(&self) -> ResilienceSummary {
-        ResilienceSummary {
-            retries: self.retries,
-            timeouts: self.timeouts,
-            crashed: self.crashed,
-            breaker_trips: self.breaker_trips,
-            circuit_open: self.breaker_shed,
-            degraded: self.degraded,
-            stale_serves: self.stale_serves,
+    /// The snapshot's serving counters. The wire carries no batch-size
+    /// histogram, so `batch.size_hist` is empty.
+    pub(crate) fn counters(&self) -> ServeCounters {
+        let mut c = ServeCounters::default();
+        for f in STATS_FIELDS {
+            if let Some(shared) = f.shared {
+                *shared(&mut c) = (f.get)(self);
+            }
         }
+        c
     }
 
     /// The snapshot as a metrics registry — the payload of the `metrics`
@@ -540,53 +448,97 @@ impl ServerStats {
     /// become gauges; exposition order is sorted by name.
     pub fn metrics(&self) -> gsuite_telemetry::MetricsRegistry {
         let mut reg = gsuite_telemetry::MetricsRegistry::new();
-        for (name, v) in [
-            ("gsuite_serve_submitted_total", self.submitted),
-            ("gsuite_serve_completed_total", self.completed),
-            ("gsuite_serve_coalesced_total", self.coalesced),
-            ("gsuite_serve_rejected_total", self.rejected),
-            ("gsuite_cache_hits_total", self.cache.hits),
-            ("gsuite_cache_misses_total", self.cache.misses),
-            ("gsuite_cache_insertions_total", self.cache.insertions),
-            ("gsuite_cache_evictions_total", self.cache.evictions),
-            ("gsuite_cache_rejected_total", self.cache.rejected),
-            ("gsuite_resilience_retries_total", self.retries),
-            ("gsuite_resilience_timeouts_total", self.timeouts),
-            ("gsuite_resilience_breaker_trips_total", self.breaker_trips),
-            ("gsuite_resilience_breaker_shed_total", self.breaker_shed),
-            ("gsuite_resilience_degraded_total", self.degraded),
-            ("gsuite_resilience_stale_serves_total", self.stale_serves),
-            ("gsuite_resilience_crashed_total", self.crashed),
-            ("gsuite_resilience_respawns_total", self.respawns),
-            ("gsuite_template_hits_total", self.tpl_hits),
-            ("gsuite_template_misses_total", self.tpl_misses),
-            ("gsuite_template_instantiates_total", self.tpl_instantiates),
-            ("gsuite_cache_lock_waits_total", self.lock_waits),
-            ("gsuite_batch_dispatched_total", self.batches),
-            ("gsuite_batch_requests_total", self.batched_requests),
-            ("gsuite_batch_shed_total", self.batch_shed),
-        ] {
-            reg.counter_add(name, metric_help(name), v);
-        }
-        for (name, v) in [
-            ("gsuite_serve_workers", self.workers as f64),
-            ("gsuite_serve_queue_depth", self.queue_depth as f64),
-            ("gsuite_cache_bytes_in_use", self.cache.bytes_in_use as f64),
-            ("gsuite_cache_entries", self.cache.entries as f64),
-            (
-                "gsuite_serve_peak_device_bytes",
-                self.peak_device_bytes as f64,
-            ),
-            (
-                "gsuite_serve_shard_peak_device_bytes",
-                self.shard_peak_device_bytes as f64,
-            ),
-        ] {
-            reg.gauge_set(name, metric_help(name), v);
+        for f in STATS_FIELDS {
+            let Some(name) = f.metric else { continue };
+            let v = (f.get)(self);
+            match f.kind {
+                StatKind::Counter => reg.counter_add(name, metric_help(name), v),
+                StatKind::Gauge => reg.gauge_set(name, metric_help(name), v as f64),
+            }
         }
         reg
     }
 }
+
+/// Whether a `stats` key is a running total or a point-in-time value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StatKind {
+    /// Monotone over the server's life: a Prometheus counter, diffed
+    /// per loadgen run.
+    Counter,
+    /// A point-in-time value: a gauge, sampled at the end of a run.
+    Gauge,
+}
+
+/// One key of the `stats` line: its kind, its metric name (`None` keeps
+/// it off the `metrics` exposition), its [`ServerStats`] field and, for
+/// the serving counters both clocks keep, its [`ServeCounters`] field.
+pub(crate) struct StatsField {
+    pub(crate) key: &'static str,
+    pub(crate) kind: StatKind,
+    metric: Option<&'static str>,
+    pub(crate) get: fn(&ServerStats) -> u64,
+    pub(crate) set: fn(&mut ServerStats, u64),
+    shared: Option<fn(&mut ServeCounters) -> &mut u64>,
+}
+
+/// A [`StatsField`] row: its key, its kind and its [`ServerStats`]
+/// field, then its metric name, if any, and then, for a shared counter,
+/// its [`ServeCounters`] field.
+macro_rules! field {
+    ($key:literal, $kind:ident, $($path:ident).+ $(, $metric:literal $(, $($shared:ident).+)?)?) => {
+        StatsField {
+            key: $key,
+            kind: StatKind::$kind,
+            metric: field!(@some $($metric)?),
+            get: |s| s.$($path).+ as u64,
+            set: |s, v| s.$($path).+ = v as _,
+            shared: field!(@some $($(|c| &mut c.$($shared).+)?)?),
+        }
+    };
+    (@some $e:expr) => { Some($e) };
+    (@some) => { None };
+}
+
+/// The one table behind the `stats` line ([`ServerStats::to_line`],
+/// [`ServerStats::parse_line`]), the `metrics` exposition
+/// ([`ServerStats::metrics`]), the TCP loadgen's per-run diff and the
+/// copies between [`ServerStats`] and [`ServeCounters`]: one row per
+/// wire key, in wire order.
+#[rustfmt::skip]
+pub(crate) const STATS_FIELDS: &[StatsField] = &[
+    field!("workers", Gauge, workers, "gsuite_serve_workers"),
+    field!("queue", Gauge, queue_depth, "gsuite_serve_queue_depth"),
+    field!("submitted", Counter, submitted, "gsuite_serve_submitted_total"),
+    field!("completed", Counter, completed, "gsuite_serve_completed_total"),
+    field!("coalesced", Counter, coalesced, "gsuite_serve_coalesced_total", coalesced),
+    field!("rejected", Counter, rejected, "gsuite_serve_rejected_total", rejected),
+    field!("cache_hits", Counter, cache.hits, "gsuite_cache_hits_total"),
+    field!("cache_misses", Counter, cache.misses, "gsuite_cache_misses_total"),
+    field!("cache_insertions", Counter, cache.insertions, "gsuite_cache_insertions_total"),
+    field!("cache_evictions", Counter, cache.evictions, "gsuite_cache_evictions_total"),
+    field!("cache_rejected", Counter, cache.rejected, "gsuite_cache_rejected_total"),
+    field!("cache_bytes", Gauge, cache.bytes_in_use, "gsuite_cache_bytes_in_use"),
+    field!("cache_capacity", Gauge, cache.capacity_bytes),
+    field!("cache_entries", Gauge, cache.entries, "gsuite_cache_entries"),
+    field!("peak_device_bytes", Gauge, peak_device_bytes, "gsuite_serve_peak_device_bytes"),
+    field!("shard_peak_device_bytes", Gauge, shard_peak_device_bytes, "gsuite_serve_shard_peak_device_bytes"),
+    field!("retries", Counter, retries, "gsuite_resilience_retries_total", resilience.retries),
+    field!("timeouts", Counter, timeouts, "gsuite_resilience_timeouts_total", resilience.timeouts),
+    field!("breaker_trips", Counter, breaker_trips, "gsuite_resilience_breaker_trips_total", resilience.breaker_trips),
+    field!("breaker_shed", Counter, breaker_shed, "gsuite_resilience_breaker_shed_total", resilience.circuit_open),
+    field!("degraded", Counter, degraded, "gsuite_resilience_degraded_total", resilience.degraded),
+    field!("stale_serves", Counter, stale_serves, "gsuite_resilience_stale_serves_total", resilience.stale_serves),
+    field!("crashed", Counter, crashed, "gsuite_resilience_crashed_total", resilience.crashed),
+    field!("respawns", Counter, respawns, "gsuite_resilience_respawns_total"),
+    field!("tpl_hits", Counter, tpl_hits, "gsuite_template_hits_total", tpl_hits),
+    field!("tpl_misses", Counter, tpl_misses, "gsuite_template_misses_total", tpl_misses),
+    field!("tpl_instantiates", Counter, tpl_instantiates, "gsuite_template_instantiates_total"),
+    field!("lock_waits", Counter, lock_waits, "gsuite_cache_lock_waits_total"),
+    field!("batches", Counter, batches, "gsuite_batch_dispatched_total", batch.batches),
+    field!("batched_requests", Counter, batched_requests, "gsuite_batch_requests_total", batch.batched_requests),
+    field!("batch_shed", Counter, batch_shed, "gsuite_batch_shed_total", batch.shed),
+];
 
 /// The help text of the metric `name`: one text per name, shared by
 /// the server's `metrics` command ([`ServerStats::metrics`]) and the
@@ -620,7 +572,6 @@ pub(crate) fn metric_help(name: &str) -> &'static str {
         "gsuite_loadgen_throughput_rps" => "Completed requests per second over the makespan.",
         "gsuite_resilience_breaker_shed_total" => "Submissions shed by an open circuit breaker.",
         "gsuite_resilience_breaker_trips_total" => "Circuit-breaker trips.",
-        "gsuite_resilience_circuit_open_total" => "Requests shed by an open circuit breaker.",
         "gsuite_resilience_crashed_total" => "Crashed attempts, retried or not.",
         "gsuite_resilience_degraded_total" => "Attempts served by the O0 compile fallback.",
         "gsuite_resilience_respawns_total" => "Worker respawns after caught crashes.",
@@ -695,18 +646,26 @@ struct State {
     next_id: u64,
     submitted: u64,
     completed: u64,
-    coalesced: u64,
-    rejected: u64,
-    /// Resilience counters; `breaker_trips` is summed from `breakers`
-    /// when a snapshot is taken.
-    resilience: ResilienceSummary,
+    /// The serving counters; the template counters come from the
+    /// template cache and `breaker_trips` from `breakers` when a
+    /// snapshot is taken ([`State::counters`]).
+    counters: ServeCounters,
     respawns: u64,
     peak_device_bytes: u64,
     shard_peak_device_bytes: u64,
-    batches: u64,
-    batched_requests: u64,
-    batch_shed: u64,
     shutdown: bool,
+}
+
+impl State {
+    /// The serving counters, with the template cache's lookups `tpl`
+    /// and the breakers' trips folded in.
+    fn counters(&self, tpl: TemplateStats) -> ServeCounters {
+        let mut c = self.counters.clone();
+        c.tpl_hits = tpl.hits;
+        c.tpl_misses = tpl.misses;
+        c.resilience.breaker_trips = self.breakers.iter().map(|(_, b)| b.trips()).sum();
+        c
+    }
 }
 
 struct Inner {
@@ -752,15 +711,10 @@ impl Server {
                 next_id: 0,
                 submitted: 0,
                 completed: 0,
-                coalesced: 0,
-                rejected: 0,
-                resilience: ResilienceSummary::default(),
+                counters: ServeCounters::default(),
                 respawns: 0,
                 peak_device_bytes: 0,
                 shard_peak_device_bytes: 0,
-                batches: 0,
-                batched_requests: 0,
-                batch_shed: 0,
                 shutdown: false,
             }),
             epoch: Instant::now(),
@@ -874,7 +828,7 @@ impl Server {
                 break;
             }
             if !block {
-                state.rejected += 1;
+                state.counters.count_shed(RejectReason::QueueFull);
                 return Err(SubmitError::Busy);
             }
             state = inner
@@ -899,33 +853,34 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         let tpl = self.inner.templates.stats();
         let state = self.inner.state.lock().expect("server state poisoned");
-        let r = &state.resilience;
-        ServerStats {
+        let mut stats = ServerStats {
             workers: self.handles.len(),
             queue_depth: state.queue.len(),
             submitted: state.submitted,
             completed: state.completed,
-            coalesced: state.coalesced,
-            rejected: state.rejected,
             peak_device_bytes: state.peak_device_bytes,
             shard_peak_device_bytes: state.shard_peak_device_bytes,
-            retries: r.retries,
-            timeouts: r.timeouts,
-            breaker_trips: state.breakers.iter().map(|(_, b)| b.trips()).sum(),
-            breaker_shed: r.circuit_open,
-            degraded: r.degraded,
-            stale_serves: r.stale_serves,
-            crashed: r.crashed,
             respawns: state.respawns,
-            tpl_hits: tpl.hits,
-            tpl_misses: tpl.misses,
             tpl_instantiates: tpl.instantiates,
             lock_waits: self.inner.cache.lock_waits(),
-            batches: state.batches,
-            batched_requests: state.batched_requests,
-            batch_shed: state.batch_shed,
             cache: self.inner.cache.stats(),
+            ..ServerStats::default()
+        };
+        let mut c = state.counters(tpl);
+        for f in STATS_FIELDS {
+            if let Some(shared) = f.shared {
+                (f.set)(&mut stats, *shared(&mut c));
+            }
         }
+        stats
+    }
+
+    /// The serving counters so far: the ones [`Server::stats`] reports,
+    /// plus the batch-size histogram the flat snapshot leaves out.
+    pub(crate) fn counters(&self) -> ServeCounters {
+        let tpl = self.inner.templates.stats();
+        let state = self.inner.state.lock().expect("server state poisoned");
+        state.counters(tpl)
     }
 
     /// Stops accepting work, drains the queue and joins the workers.
@@ -976,7 +931,9 @@ fn admit(inner: &Inner, state: &mut State, req: &ServeRequest) -> bool {
         }
     };
     let admitted = breaker.admit(now_ms);
-    state.resilience.circuit_open += u64::from(!admitted);
+    if !admitted {
+        state.counters.count_shed(RejectReason::CircuitOpen);
+    }
     admitted
 }
 
@@ -998,7 +955,7 @@ fn coalesce(state: &mut State, req: &ServeRequest, waiter: Waiter) -> Result<(),
     };
     waiters.push(waiter);
     state.submitted += 1;
-    state.coalesced += 1;
+    state.counters.coalesced += 1;
     Ok(())
 }
 
@@ -1021,7 +978,7 @@ fn run_former(
         match event {
             FormerEvent::Shed(a) => {
                 state.in_former.remove(&a.index);
-                state.batch_shed += 1;
+                state.counters.count_shed(RejectReason::BatchBacklog);
                 shed = true;
             }
             FormerEvent::Dispatch(batch) => dispatch(inner, state, batch),
@@ -1037,8 +994,7 @@ fn run_former(
 /// share their first occurrence's execution.
 fn dispatch(inner: &Inner, state: &mut State, batch: FormedBatch) {
     let size = batch.members.len();
-    state.batches += 1;
-    state.batched_requests += size as u64;
+    state.counters.count_batch(size);
     let mut members: Vec<(ServeRequest, Waiter)> = batch
         .members
         .iter()
@@ -1059,7 +1015,7 @@ fn dispatch(inner: &Inner, state: &mut State, batch: FormedBatch) {
             return;
         };
         if full {
-            state.rejected += 1;
+            state.counters.count_shed(RejectReason::QueueFull);
             return shed_accepted(key, waiter, SubmitError::Busy);
         }
         Job::Solo(Member {
@@ -1067,8 +1023,8 @@ fn dispatch(inner: &Inner, state: &mut State, batch: FormedBatch) {
             waiters: vec![waiter],
         })
     } else if full {
-        state.rejected += size as u64;
         for (key, waiter) in members {
+            state.counters.count_shed(RejectReason::QueueFull);
             shed_accepted(key, waiter, SubmitError::Busy);
         }
         return;
@@ -1078,7 +1034,7 @@ fn dispatch(inner: &Inner, state: &mut State, batch: FormedBatch) {
             match leaders.iter_mut().find(|m| m.key == key) {
                 Some(m) => {
                     m.waiters.push(waiter);
-                    state.coalesced += 1;
+                    state.counters.coalesced += 1;
                 }
                 None => leaders.push(Member {
                     key,
@@ -1226,7 +1182,7 @@ fn run_attempt(
     // one, exactly as on the sim clock.
     if step.is_degraded() {
         let mut state = inner.state.lock().expect("server state poisoned");
-        state.resilience.count_step(step);
+        state.counters.resilience.count_step(step);
     }
     let profiler = key.gpu.profiler(&inner.cfg.opts, key.config.dataset);
     let link = Interconnect::nvlink().degraded(draw.link_factor);
@@ -1281,7 +1237,7 @@ fn run_merged_batch(inner: &Inner, members: Vec<Member>, size: u32, scratch: &mu
     }));
     let outcome = built.unwrap_or_else(|_payload| {
         let mut state = inner.state.lock().expect("server state poisoned");
-        state.resilience.crashed += 1;
+        state.counters.resilience.crashed += 1;
         state.respawns += 1;
         Err("worker crashed during merged batch build".to_string())
     });
@@ -1429,7 +1385,7 @@ fn worker_loop(inner: &Inner) {
             }));
             let outcome = caught.unwrap_or_else(|_payload| {
                 let mut state = inner.state.lock().expect("server state poisoned");
-                state.resilience.crashed += 1;
+                state.counters.resilience.crashed += 1;
                 state.respawns += 1;
                 Err(AttemptError::Crash)
             });
@@ -1456,6 +1412,7 @@ fn worker_loop(inner: &Inner) {
                             .state
                             .lock()
                             .expect("server state poisoned")
+                            .counters
                             .resilience
                             .retries += 1;
                         std::thread::sleep(std::time::Duration::from_secs_f64(backoff_ms / 1e3));
@@ -1499,7 +1456,7 @@ fn worker_loop(inner: &Inner) {
                     state.shard_peak_device_bytes.max(s.shard_peak_device_bytes);
             }
             if reject == Some(RejectReason::DeadlineExceeded) {
-                state.resilience.timeouts += 1;
+                state.counters.resilience.timeouts += 1;
             }
             // One breaker outcome per dispatched request, recorded before
             // delivery; a request that expired in the queue says nothing
@@ -1700,43 +1657,48 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn stats_line_round_trips_with_locked_key_order() {
-        let stats = ServerStats {
+    /// A snapshot with a distinct value in every field.
+    fn snapshot() -> ServerStats {
+        ServerStats {
             workers: 3,
             queue_depth: 2,
             submitted: 40,
             completed: 37,
             coalesced: 5,
-            rejected: 1,
+            rejected: 6,
             peak_device_bytes: 123_456,
             shard_peak_device_bytes: 7_890,
             retries: 4,
-            timeouts: 2,
-            breaker_trips: 1,
-            breaker_shed: 3,
-            degraded: 2,
-            stale_serves: 1,
-            crashed: 2,
-            respawns: 2,
-            tpl_hits: 11,
-            tpl_misses: 6,
-            tpl_instantiates: 9,
-            lock_waits: 4,
-            batches: 5,
-            batched_requests: 12,
-            batch_shed: 1,
+            timeouts: 9,
+            breaker_trips: 10,
+            breaker_shed: 11,
+            degraded: 12,
+            stale_serves: 14,
+            crashed: 15,
+            respawns: 18,
+            tpl_hits: 19,
+            tpl_misses: 21,
+            tpl_instantiates: 22,
+            lock_waits: 23,
+            batches: 24,
+            batched_requests: 25,
+            batch_shed: 26,
             cache: LruStats {
                 hits: 20,
                 misses: 17,
                 insertions: 16,
-                evictions: 3,
-                rejected: 1,
+                evictions: 7,
+                rejected: 8,
                 bytes_in_use: 9999,
                 capacity_bytes: 1 << 20,
                 entries: 13,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn stats_line_round_trips_with_locked_key_order() {
+        let stats = snapshot();
         let line = stats.to_line();
         // The wire key order is locked: exactly LINE_KEYS, in order.
         let keys: Vec<&str> = line
@@ -1749,8 +1711,132 @@ mod tests {
         let parsed = ServerStats::parse_line(&line).expect("stats line parses");
         assert_eq!(parsed, stats);
         assert_eq!(parsed.to_line(), line);
+        // Each shared counter maps onto its own `ServeCounters` field.
+        let c = stats.counters();
+        let r = c.resilience;
+        assert_eq!(
+            (c.coalesced, c.rejected, c.tpl_hits, c.tpl_misses),
+            (5, 6, 19, 21)
+        );
+        assert_eq!(
+            (r.retries, r.timeouts, r.breaker_trips, r.circuit_open),
+            (4, 9, 10, 11)
+        );
+        assert_eq!((r.degraded, r.stale_serves, r.crashed), (12, 14, 15));
+        let b = &c.batch;
+        assert_eq!((b.batches, b.batched_requests, b.shed), (24, 25, 26));
         // Non-stats lines do not parse.
         assert_eq!(ServerStats::parse_line("ok id=0 cache=miss"), None);
+    }
+
+    /// The `stats` line and the `metrics` exposition of a fixed snapshot,
+    /// byte for byte: both are wire formats.
+    #[test]
+    fn stats_line_and_metrics_text_are_locked() {
+        let stats = snapshot();
+        assert_eq!(
+            stats.to_line(),
+            "stats workers=3 queue=2 submitted=40 completed=37 coalesced=5 rejected=6 \
+             cache_hits=20 cache_misses=17 cache_insertions=16 cache_evictions=7 \
+             cache_rejected=8 cache_bytes=9999 cache_capacity=1048576 cache_entries=13 \
+             peak_device_bytes=123456 shard_peak_device_bytes=7890 retries=4 timeouts=9 \
+             breaker_trips=10 breaker_shed=11 degraded=12 stale_serves=14 crashed=15 \
+             respawns=18 tpl_hits=19 tpl_misses=21 tpl_instantiates=22 lock_waits=23 \
+             batches=24 batched_requests=25 batch_shed=26"
+        );
+        assert_eq!(stats.metrics().render(), "\
+# HELP gsuite_batch_dispatched_total Batches dispatched by the cross-request former.
+# TYPE gsuite_batch_dispatched_total counter
+gsuite_batch_dispatched_total 24
+# HELP gsuite_batch_requests_total Requests resolved through a dispatched batch.
+# TYPE gsuite_batch_requests_total counter
+gsuite_batch_requests_total 25
+# HELP gsuite_batch_shed_total Requests shed by the batch former's admission control.
+# TYPE gsuite_batch_shed_total counter
+gsuite_batch_shed_total 26
+# HELP gsuite_cache_bytes_in_use Pipeline-cache bytes in use.
+# TYPE gsuite_cache_bytes_in_use gauge
+gsuite_cache_bytes_in_use 9999.000
+# HELP gsuite_cache_entries Pipeline-cache resident entries.
+# TYPE gsuite_cache_entries gauge
+gsuite_cache_entries 13.000
+# HELP gsuite_cache_evictions_total Pipeline-cache evictions.
+# TYPE gsuite_cache_evictions_total counter
+gsuite_cache_evictions_total 7
+# HELP gsuite_cache_hits_total Pipeline-cache lookup hits.
+# TYPE gsuite_cache_hits_total counter
+gsuite_cache_hits_total 20
+# HELP gsuite_cache_insertions_total Pipeline-cache insertions.
+# TYPE gsuite_cache_insertions_total counter
+gsuite_cache_insertions_total 16
+# HELP gsuite_cache_lock_waits_total Contended pipeline-cache shard-lock acquisitions.
+# TYPE gsuite_cache_lock_waits_total counter
+gsuite_cache_lock_waits_total 23
+# HELP gsuite_cache_misses_total Pipeline-cache lookup misses.
+# TYPE gsuite_cache_misses_total counter
+gsuite_cache_misses_total 17
+# HELP gsuite_cache_rejected_total Pipeline-cache inserts rejected (entry larger than capacity).
+# TYPE gsuite_cache_rejected_total counter
+gsuite_cache_rejected_total 8
+# HELP gsuite_resilience_breaker_shed_total Submissions shed by an open circuit breaker.
+# TYPE gsuite_resilience_breaker_shed_total counter
+gsuite_resilience_breaker_shed_total 11
+# HELP gsuite_resilience_breaker_trips_total Circuit-breaker trips.
+# TYPE gsuite_resilience_breaker_trips_total counter
+gsuite_resilience_breaker_trips_total 10
+# HELP gsuite_resilience_crashed_total Crashed attempts, retried or not.
+# TYPE gsuite_resilience_crashed_total counter
+gsuite_resilience_crashed_total 15
+# HELP gsuite_resilience_degraded_total Attempts served by the O0 compile fallback.
+# TYPE gsuite_resilience_degraded_total counter
+gsuite_resilience_degraded_total 12
+# HELP gsuite_resilience_respawns_total Worker respawns after caught crashes.
+# TYPE gsuite_resilience_respawns_total counter
+gsuite_resilience_respawns_total 18
+# HELP gsuite_resilience_retries_total Retry attempts performed.
+# TYPE gsuite_resilience_retries_total counter
+gsuite_resilience_retries_total 4
+# HELP gsuite_resilience_stale_serves_total Stale-but-valid cache serves past the soft TTL.
+# TYPE gsuite_resilience_stale_serves_total counter
+gsuite_resilience_stale_serves_total 14
+# HELP gsuite_resilience_timeouts_total Requests failed on an expired deadline.
+# TYPE gsuite_resilience_timeouts_total counter
+gsuite_resilience_timeouts_total 9
+# HELP gsuite_serve_coalesced_total Submissions that attached to an in-flight identical request.
+# TYPE gsuite_serve_coalesced_total counter
+gsuite_serve_coalesced_total 5
+# HELP gsuite_serve_completed_total Delivered completions.
+# TYPE gsuite_serve_completed_total counter
+gsuite_serve_completed_total 37
+# HELP gsuite_serve_peak_device_bytes Largest peak-device-bytes footprint served.
+# TYPE gsuite_serve_peak_device_bytes gauge
+gsuite_serve_peak_device_bytes 123456.000
+# HELP gsuite_serve_queue_depth Requests currently queued.
+# TYPE gsuite_serve_queue_depth gauge
+gsuite_serve_queue_depth 2.000
+# HELP gsuite_serve_rejected_total Submissions shed due to a full queue.
+# TYPE gsuite_serve_rejected_total counter
+gsuite_serve_rejected_total 6
+# HELP gsuite_serve_shard_peak_device_bytes Largest per-shard device-bytes peak served.
+# TYPE gsuite_serve_shard_peak_device_bytes gauge
+gsuite_serve_shard_peak_device_bytes 7890.000
+# HELP gsuite_serve_submitted_total Accepted submissions (including coalesced).
+# TYPE gsuite_serve_submitted_total counter
+gsuite_serve_submitted_total 40
+# HELP gsuite_serve_workers Worker-pool size.
+# TYPE gsuite_serve_workers gauge
+gsuite_serve_workers 3.000
+# HELP gsuite_template_hits_total Plan-template cache lookup hits.
+# TYPE gsuite_template_hits_total counter
+gsuite_template_hits_total 19
+# HELP gsuite_template_instantiates_total Builds served by template instantiation instead of a full compile.
+# TYPE gsuite_template_instantiates_total counter
+gsuite_template_instantiates_total 22
+# HELP gsuite_template_misses_total Plan-template cache lookup misses.
+# TYPE gsuite_template_misses_total counter
+gsuite_template_misses_total 21
+# EOF
+");
     }
 
     #[test]

@@ -217,6 +217,19 @@ fn parse_positive(args: &[String], i: usize) -> Result<usize, String> {
     Ok(n)
 }
 
+/// A finite, positive float: NaN passes any `<= 0` check, and neither it
+/// nor infinity makes a usable rate, deadline or objective.
+fn parse_positive_f64(args: &[String], i: usize, what: &str) -> Result<f64, String> {
+    let value = take_value(args, i)?;
+    match value.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!(
+            "{} expects a finite, positive {what} (got {value:?})",
+            args[i]
+        )),
+    }
+}
+
 /// The serving flags `serve` and `loadgen` share: `--fault-seed`,
 /// `--fault-rate`, `--batch`, `--batch-delay-ms` and `--batch-backlog`.
 #[derive(Default)]
@@ -687,11 +700,8 @@ fn parse_loadgen_args(args: &[String]) -> Result<Option<LoadgenArgs>, String> {
                 i += 2;
             }
             "--rate" => {
-                let r: f64 = parse_num(take_value(args, i)?, "--rate", "requests per second")?;
-                if r <= 0.0 {
-                    return Err("--rate expects a positive requests-per-second value".to_string());
-                }
-                spec.arrival = ArrivalMode::Open { rate_rps: r };
+                let rate_rps = parse_positive_f64(args, i, "requests-per-second value")?;
+                spec.arrival = ArrivalMode::Open { rate_rps };
                 i += 2;
             }
             "--clock" => {
@@ -723,15 +733,12 @@ fn parse_loadgen_args(args: &[String]) -> Result<Option<LoadgenArgs>, String> {
                 i += 2;
             }
             "--slo-ms" => {
-                spec.slo_ms = Some(parse_num(take_value(args, i)?, "--slo-ms", "milliseconds")?);
+                spec.slo_ms = Some(parse_positive_f64(args, i, "objective in milliseconds")?);
                 i += 2;
             }
             "--deadline-ms" => {
-                let d: f64 = parse_num(take_value(args, i)?, "--deadline-ms", "milliseconds")?;
-                if d <= 0.0 {
-                    return Err("--deadline-ms expects a positive budget".to_string());
-                }
-                spec.resilience.deadline_ms = Some(d);
+                spec.resilience.deadline_ms =
+                    Some(parse_positive_f64(args, i, "budget in milliseconds")?);
                 i += 2;
             }
             "--retries" => {

@@ -36,9 +36,10 @@ use gsuite::core::pipeline::{PipelineRun, WorkerScratch};
 use gsuite::core::plan::batchmerge::merge_class;
 use gsuite::core::plan::template::TemplateCache;
 use gsuite::scenarios::BenchOpts;
+use gsuite::serve::fault::FaultPlan;
 use gsuite::serve::sim::{BatchArrival, BatchFormer, BatchPolicy, FormedBatch, FormerEvent};
 use gsuite::serve::{
-    run_loadgen, run_loadgen_traced, ArrivalMode, ClockMode, LoadReport, LoadSpec,
+    run_loadgen, run_loadgen_traced, ArrivalMode, BatchSummary, ClockMode, LoadReport, LoadSpec,
 };
 use gsuite::telemetry::json;
 
@@ -283,7 +284,7 @@ fn batched_sim_runs_are_byte_identical_across_runs_and_threads() {
 
     // The run actually batched, and the orchestration spans are
     // accounted in the phase breakdown.
-    let batch = report_a.batch.as_ref().expect("batch summary present");
+    let batch = &report_a.counters.batch;
     assert!(batch.batches > 0, "no batches dispatched");
     assert!(batch.batched_requests >= batch.batches);
     assert!(
@@ -318,7 +319,7 @@ fn max_batch_one_report_collapses_to_the_unbatched_report() {
     let solo = run_loadgen(&unbatched).expect("unbatched run");
     let batched = run_loadgen(&degenerate).expect("max_batch=1 run");
     let mut stripped = batched.clone();
-    stripped.batch = None;
+    stripped.counters.batch = BatchSummary::default();
     assert_eq!(
         stripped, solo,
         "max_batch=1 must serve every request exactly like the unbatched path"
@@ -550,7 +551,8 @@ proptest! {
 /// far inside the 500 ms delay, so the former's decisions depend only on
 /// arrival order, merge keys and the policy, which both clocks share.
 /// Coalescing and cache counters stay out: a singleton's coalescing
-/// depends on execution time.
+/// depends on execution time. The batch-size histogram is in: both
+/// clocks count a dispatch by the same rule.
 #[test]
 fn sim_and_wall_clocks_form_the_same_batches() {
     let spec = |clock| LoadSpec {
@@ -571,22 +573,67 @@ fn sim_and_wall_clocks_form_the_same_batches() {
         ..LoadSpec::default()
     };
     let counters = |r: &LoadReport| {
-        let b = r.batch.as_ref().expect("batched report");
+        let b = &r.counters.batch;
         (
             r.completed,
             r.errors,
-            r.rejected,
+            r.counters.rejected,
             b.batches,
             b.batched_requests,
             b.shed,
+            b.size_hist.clone(),
         )
     };
     let sim = run_loadgen(&spec(ClockMode::Sim)).expect("sim run");
-    assert_eq!(counters(&sim), (37, 8, 0, 16, 37, 11), "the sim's batching");
+    assert_eq!(
+        counters(&sim),
+        (37, 8, 0, 16, 37, 11, vec![8, 1, 1, 6]),
+        "the sim's batching"
+    );
     let wall = run_loadgen(&spec(ClockMode::Wall)).expect("wall run");
     assert_eq!(
         counters(&wall),
         counters(&sim),
         "the wall batched otherwise"
+    );
+}
+
+/// A faulted, batched run's `outcome:` line splits every request into
+/// exactly one of ok, failed and shed, batch-former sheds included.
+#[test]
+fn fault_mode_outcome_counts_every_request_once() {
+    let spec = LoadSpec {
+        scenario: "serve-mix".to_string(),
+        seed: 42,
+        requests: 96,
+        arrival: ArrivalMode::Open {
+            rate_rps: 100_000.0,
+        },
+        workers: 1,
+        fault: Some(FaultPlan::mixed(3, 0.1)),
+        batch: Some(BatchPolicy {
+            max_batch: 4,
+            max_queue_delay_ms: 300.0,
+            max_backlog: 1,
+        }),
+        ..LoadSpec::default()
+    };
+    let report = run_loadgen(&spec).expect("sim run");
+    let text = report.render();
+    let outcome = text
+        .lines()
+        .find(|l| l.starts_with("outcome: "))
+        .expect("fault mode prints an outcome line");
+    let count = |key: &str| -> usize {
+        let tok = outcome
+            .split_whitespace()
+            .find_map(|t| t.strip_prefix(key)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("no {key}= in {outcome:?}"));
+        tok.parse().expect("a count")
+    };
+    assert_eq!(
+        count("ok") + count("failed") + count("shed"),
+        spec.requests,
+        "{text}"
     );
 }

@@ -69,7 +69,7 @@ fn injected_fault_loadgen_is_byte_identical_across_runs_and_threads() {
 
     // The injection actually did something, and the report reflects it.
     assert!(a.fault_mode, "fault runs flip the report into fault mode");
-    let res = a.resilience;
+    let res = a.counters.resilience;
     assert!(
         res.retries + res.timeouts + res.crashed + res.degraded > 0,
         "a 25% mixed fault rate must leave visible resilience traffic: {}",
@@ -382,8 +382,13 @@ fn sim_and_wall_clocks_apply_one_policy() {
     let counters = |r: &gsuite::serve::LoadReport| {
         let c = &r.cache;
         (
-            (r.completed, r.errors, r.rejected, r.coalesced),
-            r.resilience,
+            (
+                r.completed,
+                r.errors,
+                r.counters.rejected,
+                r.counters.coalesced,
+            ),
+            r.counters.resilience,
             (c.hits, c.misses, c.insertions, c.evictions),
             (c.entries, c.bytes_in_use),
         )
@@ -397,7 +402,7 @@ fn sim_and_wall_clocks_apply_one_policy() {
     );
 
     // The sim side is the reference the wall server now follows.
-    let res = sim.resilience;
+    let res = sim.counters.resilience;
     assert_eq!((sim.completed, sim.errors), (43, 6));
     assert_eq!((res.retries, res.crashed), (17, 8));
     assert_eq!((res.breaker_trips, res.circuit_open), (3, 5));

@@ -237,7 +237,7 @@ fn golden_loadgen_warm() {
     let instantiate = phase_ms(&half, "compile.instantiate");
     assert!(instantiate > 0.0);
     assert!(phase_ms(&full, "compile.instantiate") > instantiate);
-    assert!(full.tpl_hits > half.tpl_hits && half.tpl_hits > 0);
+    assert!(full.counters.tpl_hits > half.counters.tpl_hits && half.counters.tpl_hits > 0);
 }
 
 #[test]

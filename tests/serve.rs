@@ -290,7 +290,7 @@ fn loadgen_sim_is_reproducible_across_runs_and_threads() {
         assert_eq!(a.latencies_ms, t.latencies_ms, "threads={threads}");
         assert_eq!(a.cache, t.cache, "threads={threads}");
         assert_eq!(a.throughput_rps, t.throughput_rps, "threads={threads}");
-        assert_eq!(a.coalesced, t.coalesced, "threads={threads}");
+        assert_eq!(a.counters, t.counters, "threads={threads}");
     }
 
     // A mix with repeated configurations must pay off: hits > 0, and the
@@ -323,8 +323,12 @@ fn loadgen_open_loop_sheds_under_pressure() {
         ..golden_loadspec()
     };
     let a = run_loadgen(&spec).expect("loadgen runs");
-    assert!(a.rejected > 0, "overload must shed: {}", a.render());
-    assert_eq!(a.completed + a.rejected, 64);
+    assert!(
+        a.counters.rejected > 0,
+        "overload must shed: {}",
+        a.render()
+    );
+    assert_eq!(a.completed + a.counters.rejected, 64);
     assert_eq!(a, run_loadgen(&spec).expect("loadgen runs"));
     // A 1 ms SLO under overload is hopeless — attainment must reflect it.
     let slo = a.slo.expect("slo configured");
@@ -346,7 +350,7 @@ fn loadgen_coalesces_simultaneous_identical_requests() {
     };
     let report = run_loadgen(&spec).expect("loadgen runs");
     assert!(
-        report.coalesced > 0,
+        report.counters.coalesced > 0,
         "burst of identical configs must coalesce: {}",
         report.render()
     );
@@ -569,26 +573,28 @@ fn cli_serve_answers_tcp_loadgen_and_stops() {
     assert!(status.success(), "server exited with {status}");
 }
 
-/// A batch delay that is not a number would never expire a forming
-/// batch, so the CLI rejects it like a negative one.
+/// Not-a-number and infinite values pass a plain `<= 0` check, so each
+/// flag rejects them explicitly: a NaN batch delay would never expire a
+/// forming batch, a NaN rate never submits (the wall clock sleeps
+/// forever), a NaN deadline never fires and a NaN SLO measures nothing.
 #[test]
-fn cli_rejects_a_nan_batch_delay() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gsuite-cli"))
-        .args([
-            "loadgen",
-            "--rate",
-            "200",
-            "--batch",
-            "4",
-            "--batch-delay-ms",
-            "nan",
-        ])
-        .output()
-        .expect("run gsuite-cli loadgen");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--batch-delay-ms expects a non-negative window"),
-        "{stderr}"
-    );
+fn cli_rejects_non_finite_flag_values() {
+    let cases = [
+        ("--batch-delay-ms", "nan", "non-negative window"),
+        ("--rate", "nan", "finite, positive requests-per-second"),
+        ("--rate", "inf", "finite, positive requests-per-second"),
+        ("--deadline-ms", "nan", "finite, positive budget"),
+        ("--slo-ms", "nan", "finite, positive objective"),
+        ("--slo-ms", "-1", "finite, positive objective"),
+    ];
+    for (flag, value, expected) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gsuite-cli"))
+            .args(["loadgen", "--rate", "200", "--batch", "4", flag, value])
+            .output()
+            .expect("run gsuite-cli loadgen");
+        assert!(!out.status.success(), "{flag} {value} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let message = format!("{flag} expects a {expected}");
+        assert!(stderr.contains(&message), "{flag} {value}: {stderr}");
+    }
 }
